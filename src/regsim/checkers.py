@@ -9,6 +9,7 @@ for the oracle, and the test suite holds them to that.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -67,7 +68,9 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     extends precedence and in which every Read returns the argument of the
     latest preceding Write (or the initial value); the search extends
     partial sequences only while the read-value constraints remain
-    satisfiable.
+    satisfiable.  It remembers failed (placed set, current value) states
+    and runs on an explicit stack: at worst about 2^n * n states for n ops
+    on a variable rather than n! orders, and no depth limit.
     """
     if level is SemanticsLevel.ATOMIC:
         return _check_atomic(h)
@@ -114,65 +117,75 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     are ignored.  Candidates are tried in (end, start, op_id) order, which
     makes the returned witness deterministic.  Returns (sequence, None) on
     success, (None, blocking_read) on failure.
+
+    The search is depth-first over an explicit stack and remembers every
+    failed (placed set, current value) state, so it visits at most about
+    2^n * n states for n ops rather than n! orders, and has no depth limit.
+    A failed state fails again wherever it recurs, at the same depth, so
+    skipping it changes neither the witness nor the blocking Read.
     """
     spec = h.vars[var]
+    read = OpKind.READ
     ops = [
         o for o in h.ops
-        if o.var == var and (o.completed or o.kind is OpKind.WRITE)
+        if o.var == var and (o.end is not None or o.kind is not read)
     ]
     inf = float("inf")
     ops.sort(key=lambda o: (o.end if o.end is not None else inf, o.start, o.op_id))
-    need = sum(1 for o in ops if o.completed)
+    # Completed ops sort first: they are exactly ops[:need].
+    ends = [o.end for o in ops if o.end is not None]
+    need = len(ends)
     if need == 0:
         return (), None
+    n = len(ops)
+    # Per op: pre, is-Read, value.  ops[:pre] are the ops that end before
+    # this one starts, so it may come next once every op below pre is placed.
+    cands = [
+        (bisect_left(ends, o.start), True, o.ret) if o.kind is read
+        else (bisect_left(ends, o.start), False, o.arg)
+        for o in ops
+    ]
 
-    seq: list[int] = []
-    remaining = set(range(len(ops)))
+    failed: set[tuple[int, int]] = set()
+    # One (placed mask, value, next candidate) frame per placed op.
+    stack: list[tuple[int, int, int]] = []
+    mask, value, i = 0, spec.init, 0
     # Deepest prefix the search reached, and the reads rejected there:
     # the earliest of those is the reported inconsistency witness.
     best_depth = -1
     blocked: list[OpRecord] = []
-
-    def dfs(value: int, placed_completed: int) -> bool:
-        nonlocal best_depth, blocked
-        if placed_completed == need:
-            return True
-        for i in range(len(ops)):
-            if i not in remaining:
+    while True:
+        low = (~mask & (mask + 1)).bit_length() - 1  # lowest unplaced op
+        if low >= need:
+            return tuple(ops[f[2] - 1].op_id for f in stack), None
+        # i is 0 on a new node, one past the last tried candidate on a
+        # resumed one; ops below low are all placed.
+        for i in range(i if i > low else low, n):
+            pre, is_read, v = cands[i]
+            if pre > low or mask >> i & 1:
                 continue
-            cand = ops[i]
-            # cand is appendable only if no unplaced op must come first
-            free = True
-            for j in remaining:
-                if j != i:
-                    oj = ops[j]
-                    if oj.end is not None and oj.end < cand.start:
-                        free = False
-                        break
-            if not free:
-                continue
-            if cand.kind is OpKind.READ:
-                if cand.ret != value:
-                    depth = len(seq)
+            if is_read:
+                if v != value:
+                    depth = len(stack)
                     if depth > best_depth:
                         best_depth = depth
-                        blocked = [cand]
+                        blocked = [ops[i]]
                     elif depth == best_depth:
-                        blocked.append(cand)
+                        blocked.append(ops[i])
                     continue
-                next_value = value
-            else:
-                next_value = cand.arg
-            seq.append(i)
-            remaining.discard(i)
-            if dfs(next_value, placed_completed + (1 if cand.completed else 0)):
-                return True
-            remaining.add(i)
-            seq.pop()
-        return False
+                v = value
+            child = (mask | 1 << i, v)
+            if child not in failed:
+                stack.append((mask, value, i + 1))
+                mask, value = child
+                i = 0
+                break
+        else:
+            failed.add((mask, value))
+            if not stack:
+                break
+            mask, value, i = stack.pop()
 
-    if dfs(spec.init, 0):
-        return tuple(ops[i].op_id for i in seq), None
     if blocked:
         witness = min(blocked, key=lambda o: (o.start, o.op_id))
     else:  # unreachable for interval orders, kept for safety

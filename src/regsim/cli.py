@@ -22,7 +22,13 @@ from pathlib import Path
 
 from . import timestamp
 from .checkers import Verdict, check_level, classify
-from .engine import Execution, enumerate_executions, extract_history, random_execution
+from .engine import (
+    EngineError,
+    Execution,
+    enumerate_executions,
+    extract_history,
+    random_execution,
+)
 from .history import HistoryError, SemanticsLevel, parse_trace, serialize_trace
 from .scenario import Scenario, ScenarioError, build_protocol, load_scenario
 
@@ -55,7 +61,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     seed = sc.seed if args.seed is None else args.seed
-    execution = random_execution(spec, sc.workload, seed)
+    try:
+        execution = random_execution(spec, sc.workload, seed)
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
@@ -126,7 +136,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 counterexample = execution
                 first_failure = {"op": verdict.violating_op, "reason": verdict.reason}
 
-    result = enumerate_executions(spec, sc.workload, limits, visit=visit)
+    try:
+        result = enumerate_executions(spec, sc.workload, limits, visit=visit)
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -472,33 +472,40 @@ def enumerate_executions(
     collected: list[Execution] = []
     sim = _Sim(spec, workload)
 
-    def dfs() -> bool:
-        """Returns False to abort the whole enumeration."""
-        choices = sim.choices()
+    # One (choices, next choice, undo token of the applied one) frame per
+    # node on the current branch, so the depth is bounded by max_steps
+    # rather than by Python's recursion limit.
+    stack: list[tuple[list[Decision], int, object]] = []
+    choices = sim.choices()
+    while True:
         if not choices:
             if result.count >= max_exec:
                 result.truncated = True
-                return False
+                break
             result.count += 1
             execution = sim.snapshot()
             if visit is None:
                 collected.append(execution)
             elif visit(execution) is False:
                 result.stopped = True
-                return False
-            return True
-        if sim.step >= max_steps:
-            result.truncated = True
-            return True  # cut this branch, keep exploring siblings
-        for proc, value in choices:
-            token = sim.apply(proc, value)
-            alive = dfs()
-            sim.undo(token)
-            if not alive:
-                return False
-        return True
+                break
+        elif sim.step >= max_steps:
+            result.truncated = True  # cut this branch, keep exploring siblings
+        else:
+            stack.append((choices, 0, None))
+        # Step to the next unexplored child, backtracking past exhausted nodes.
+        while stack:
+            choices, i, token = stack.pop()
+            if token is not None:
+                sim.undo(token)
+            if i < len(choices):
+                proc, value = choices[i]
+                stack.append((choices, i + 1, sim.apply(proc, value)))
+                break
+        else:
+            break
+        choices = sim.choices()
 
-    dfs()
     result.executions = tuple(collected)
     return result
 

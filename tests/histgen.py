@@ -153,3 +153,26 @@ def corpus_size(max_ops: int = 5, domain: int = 3) -> int:
     for k in range(max_ops + 1):
         total += len(precedence_structures(k)) * (2 ** k) * len(canonical_value_tuples(k, domain))
     return total
+
+
+def contention_history(rng: random.Random, k: int) -> History:
+    """k pairwise concurrent Writes of distinct values by k processes, then
+    two sequential Reads by process k returning the values of two different
+    Writes.  Both Reads follow every Write, so no linearization exists; a
+    search that does not remember failed states tries all k! Write orders
+    before it gives up."""
+    values = rng.sample(range(1, k + 1), k)
+    starts = rng.sample(range(k), k)  # every invoke ...
+    ends = [k + s for s in rng.sample(range(k), k)]  # ... before every respond
+    ops = [
+        OpRecord(op_id=p, proc=p, var="x", kind=OpKind.WRITE,
+                 start=starts[p], end=ends[p], arg=values[p])
+        for p in range(k)
+    ]
+    first, second = rng.sample(values, 2)
+    ops.append(OpRecord(op_id=k, proc=k, var="x", kind=OpKind.READ,
+                        start=2 * k, end=2 * k + 1, ret=first))
+    ops.append(OpRecord(op_id=k + 1, proc=k, var="x", kind=OpKind.READ,
+                        start=2 * k + 2, end=2 * k + 3, ret=second))
+    spec = VarSpec(domain=k + 1, init=0, writers=frozenset(range(k)), readers=frozenset({k}))
+    return History(vars={"x": spec}, ops=tuple(ops))

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,10 +18,11 @@ from regsim import (
     check_level,
     check_wait_free,
     classify,
+    extract_history,
     random_execution,
 )
 
-from histgen import random_single_writer_history
+from histgen import contention_history, random_single_writer_history
 
 
 def var(domain=10, init=0, writers=(0,), readers=(1, 2)):
@@ -45,12 +48,12 @@ def sequenced_ok(ops, order, init=0):
     """Independent validity check for one candidate total order: must extend
     precedence and replay every read.  Used to derive expected verdicts from
     first principles before asserting what the checker says."""
-    for i, a in enumerate(order):
-        for b in order[i + 1:]:
-            if b.completed and b.end < a.start:
-                return False
+    latest_start = -1  # no op may end before an earlier-placed op starts
     value = init
     for op in order:
+        if op.completed and op.end < latest_start:
+            return False
+        latest_start = max(latest_start, op.start)
         if op.kind is OpKind.WRITE:
             value = op.arg
         elif op.ret != value:
@@ -160,6 +163,44 @@ def test_pending_write_may_be_linearized_or_omitted():
 def test_pending_read_is_ignored():
     h = hist(w(0, 0, 1, 5), r(1, 2, None, None))
     assert check_level(h, SemanticsLevel.ATOMIC).ok
+
+
+def test_atomic_checks_leave_no_garbage_cycles():
+    passing = hist(w(0, 0, 3, 1), r(1, 1, 2, 1), r(2, 4, 5, 1, proc=2))
+    failing = new_old_inversion()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(500):
+            assert check_level(passing, SemanticsLevel.ATOMIC).ok
+            assert not check_level(failing, SemanticsLevel.ATOMIC).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_long_multiwriter_history_checks_past_the_recursion_limit():
+    spec = build_multiwriter(2)
+    workload = [
+        [("Write", 1 + (i + p) % 7) if i % 2 == 0 else ("Read", None) for i in range(800)]
+        for p in range(2)
+    ]
+    h = extract_history(random_execution(spec, workload, seed=1), "high")
+    assert len(h.ops) >= 1600 > sys.getrecursionlimit()
+    v = check_level(h, SemanticsLevel.ATOMIC)
+    assert v.ok
+    (name, seq), = v.linearizations.items()
+    by_id = {o.op_id: o for o in h.ops}
+    assert sorted(seq) == sorted(by_id)
+    assert sequenced_ok(h.ops, [by_id[i] for i in seq], init=h.vars[name].init)
+
+
+def test_ten_way_write_contention_fails_on_a_read():
+    # 10! Write orders: out of reach of a search that forgets failed states.
+    h = contention_history(random.Random(10), 10)
+    v = check_level(h, SemanticsLevel.ATOMIC)
+    assert not v.ok
+    assert {o.op_id: o for o in h.ops}[v.violating_op].kind is OpKind.READ
 
 
 # -- brute force oracle -----------------------------------------------------

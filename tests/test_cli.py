@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+from regsim import cli
 from regsim.cli import main
 
 
@@ -52,6 +54,21 @@ def test_simulate_bad_workload_exit_two(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_simulate_engine_error_exit_two(tmp_path, monkeypatch, capsys):
+    # A protocol that overruns its declared budget raises EngineError in
+    # the engine; that is bad input, not a semantic failure.
+    build = cli.build_protocol
+    monkeypatch.setattr(
+        cli, "build_protocol",
+        lambda sc: dataclasses.replace(build(sc), budgets={"Write": 1, "Read": 1}),
+    )
+    cfg = write_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeded declared budget" in err
+    assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+
+
 # -- enumerate ----------------------------------------------------------------
 
 
@@ -100,6 +117,29 @@ def test_enumerate_limit_truncation_exit_three(tmp_path):
     assert main(["enumerate", "--config", cfg, "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["truncated"] and report["executions"] == 1
+
+
+def test_enumerate_unknown_limit_key_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, limits={"max_execution": 5})
+    assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "enum")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_execution" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_enumerate_deep_workload_truncates_exit_three(tmp_path):
+    # 200 Writes make branches of about 1,200 events, deeper than Python's
+    # default recursion limit.
+    cfg = write_config(
+        tmp_path,
+        workload=[[{"kind": "W", "arg": 1 + i % 7} for i in range(100)] for _ in range(2)],
+        limits={"max_executions": 1},
+    )
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["truncated"] and report["executions"] == 1
+    assert report["verdicts"]["atomic"] == {"pass": 1, "fail": 0}
 
 
 def test_enumerate_cli_limit_overrides_config(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -287,3 +288,65 @@ def test_sim_choice_order_deterministic():
     spec = safe_bit()
     sim = _Sim(spec, [[("Write", 0)], [("Read", None)]])
     assert sim.choices() == [(0, None), (1, None)]
+
+
+def recursive_enumeration(spec, workload, max_exec, max_steps, stop_after=None):
+    """The decision tree walked by plain recursion, as the engine once did:
+    (decision sequences in visit order, truncated, stopped)."""
+    sim = _Sim(spec, workload)
+    seen, flags = [], {"truncated": False, "stopped": False}
+
+    def dfs():
+        choices = sim.choices()
+        if not choices:
+            if len(seen) >= max_exec:
+                flags["truncated"] = True
+                return False
+            seen.append(tuple(sim.decisions))
+            if len(seen) == stop_after:
+                flags["stopped"] = True
+                return False
+            return True
+        if sim.step >= max_steps:
+            flags["truncated"] = True
+            return True
+        for proc, value in choices:
+            token = sim.apply(proc, value)
+            alive = dfs()
+            sim.undo(token)
+            if not alive:
+                return False
+        return True
+
+    dfs()
+    return seen, flags["truncated"], flags["stopped"]
+
+
+@pytest.mark.parametrize("max_exec, max_steps, stop_after", [
+    (10**6, 10**4, None),  # the whole tree
+    (37, 10**4, None),  # cut by max_executions
+    (10**6, 7, None),  # every branch cut by max_steps
+    (10**6, 10**4, 25),  # the visitor stops
+])
+def test_enumeration_order_matches_recursive_walk(max_exec, max_steps, stop_after):
+    spec = build_raw_register(2, domain=3, semantics=SemanticsLevel.REGULAR)
+    wl = [[("Write", 1), ("Write", 2)], [("Read", None)], [("Read", None)]]
+    seen = []
+
+    def visit(e):
+        seen.append(e.decisions)
+        return len(seen) != stop_after
+
+    res = enumerate_executions(spec, wl, {"max_executions": max_exec, "max_steps": max_steps},
+                               visit=visit)
+    expected, truncated, stopped = recursive_enumeration(spec, wl, max_exec, max_steps, stop_after)
+    assert seen == expected and res.count == len(expected)
+    assert (res.truncated, res.stopped) == (truncated, stopped)
+
+
+def test_enumeration_depth_not_bound_by_recursion_limit():
+    spec = build_multiwriter(2)
+    wl = [[("Write", 1 + i % 7) for i in range(100)] for _ in range(2)]
+    res = enumerate_executions(spec, wl, {"max_executions": 1})
+    assert res.count == 1 and res.truncated
+    assert len(res.executions[0].events) > sys.getrecursionlimit()
