@@ -8,9 +8,10 @@ Three subcommands::
     regsim check TRACE --level safe|regular|atomic|classify|cts
 
 Exit codes are a stable contract: 0 pass, 1 semantic failure, 2 input
-error, 3 resource truncation.  Reports are machine-readable JSON with a
-one-line human summary on stdout; counterexamples are full traces that
-re-fail under ``regsim check`` at the same level.
+error (a malformed scenario or trace among them), 3 resource truncation
+(a limit, or running out of memory).  Reports are machine-readable JSON
+with a one-line human summary on stdout; counterexamples are full traces
+that re-fail under ``regsim check`` at the same level.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def _write_execution_trace(execution: Execution, path: Path) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _run_engine(run):
+    """Returns (result, None), or (None, exit code) after printing one
+    ``error:`` line: a protocol the engine rejects is an input error, and
+    running out of memory cuts the run short like a limit."""
+    try:
+        return run(), None
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return None, EXIT_TRUNCATED
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         sc = load_scenario(args.config)
@@ -61,11 +76,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     seed = sc.seed if args.seed is None else args.seed
-    try:
-        execution = random_execution(spec, sc.workload, seed)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    execution, code = _run_engine(lambda: random_execution(spec, sc.workload, seed))
+    if code is not None:
+        return code
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
@@ -136,11 +149,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 counterexample = execution
                 first_failure = {"op": verdict.violating_op, "reason": verdict.reason}
 
-    try:
-        result = enumerate_executions(spec, sc.workload, limits, visit=visit)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result, code = _run_engine(lambda: enumerate_executions(spec, sc.workload, limits, visit=visit))
+    if code is not None:
+        return code
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,6 +164,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "checked_level": level,
         "executions": result.count,
         "truncated": result.truncated,
+        "truncated_by": list(result.truncated_by),
         "verdicts": {level: dict(counts)},
         "max_accesses": max_accesses,
         "first_failure": first_failure,
@@ -162,10 +174,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     status = "FAIL" if counts["fail"] else ("TRUNCATED" if result.truncated else "PASS")
+    cut = f" (truncated by {', '.join(result.truncated_by)})" if result.truncated else ""
     print(
         f"{sc.construction} n={sc.n} --check {level}: {result.count} executions, "
-        f"{counts['pass']} pass / {counts['fail']} fail"
-        f"{' (truncated)' if result.truncated else ''} [{status}] -> {report_path}"
+        f"{counts['pass']} pass / {counts['fail']} fail{cut} [{status}] -> {report_path}"
     )
     if counts["fail"]:
         print(f"counterexample: {first_failure['reason']} -> {cx_path}")

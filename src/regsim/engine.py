@@ -168,13 +168,16 @@ class Execution:
 class EnumerationResult:
     """Outcome of :func:`enumerate_executions`.
 
-    ``truncated`` is set when a limit cut the decision tree; ``stopped``
-    when the visitor asked to stop early.  ``executions`` is populated only
-    when no visitor was supplied.
+    ``truncated`` is set when a limit cut the decision tree, and
+    ``truncated_by`` names the limits that did (``"max_executions"``,
+    ``"max_steps"`` or both, in that order); ``stopped`` when the visitor
+    asked to stop early.  ``executions`` is populated only when no visitor
+    was supplied.
     """
 
     count: int = 0
     truncated: bool = False
+    truncated_by: tuple[str, ...] = ()
     stopped: bool = False
     executions: tuple[Execution, ...] = ()
 
@@ -469,6 +472,7 @@ def enumerate_executions(
     if limits:
         raise EngineError(f"unknown limit keys: {sorted(limits)}")
     result = EnumerationResult()
+    cut_executions = cut_steps = False
     collected: list[Execution] = []
     sim = _Sim(spec, workload)
 
@@ -480,7 +484,7 @@ def enumerate_executions(
     while True:
         if not choices:
             if result.count >= max_exec:
-                result.truncated = True
+                cut_executions = True
                 break
             result.count += 1
             execution = sim.snapshot()
@@ -490,7 +494,7 @@ def enumerate_executions(
                 result.stopped = True
                 break
         elif sim.step >= max_steps:
-            result.truncated = True  # cut this branch, keep exploring siblings
+            cut_steps = True  # cut this branch, keep exploring siblings
         else:
             stack.append((choices, 0, None))
         # Step to the next unexplored child, backtracking past exhausted nodes.
@@ -506,6 +510,10 @@ def enumerate_executions(
             break
         choices = sim.choices()
 
+    result.truncated_by = tuple(
+        name for name, cut in (("max_executions", cut_executions), ("max_steps", cut_steps)) if cut
+    )
+    result.truncated = bool(result.truncated_by)
     result.executions = tuple(collected)
     return result
 

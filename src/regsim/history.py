@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class HistoryError(ValueError):
@@ -240,156 +240,146 @@ def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Trace codec (JSON lines)
-#
-# Line 1 is a header object:
-#   {"version":1,"vars":{name:{"domain":m,"init":v,"writers":[..],"readers":[..]}}}
-# Each following line is one event, steps strictly increasing down the file:
-#   {"step":k,"op":id,"proc":p,"var":name,"act":"invoke"|"respond","kind":"R"|"W",...}
-# Write invokes carry "arg"; completed Read responds carry "ret".  Unknown
-# header keys (e.g. a "decisions" extension) are ignored on parse.
+# Trace codec (JSON lines).  Line 1 is a header holding "version" and the
+# format's key: {"version":1,"vars":{name:{"domain":m,"init":v,"writers":[..],
+# "readers":[..]}}} for registers, {"version":1,"cts":{"n":n}} for timestamp
+# histories.  Each following line is one event, steps strictly increasing:
+#   {"step":k,"op":id,"proc":p,"act":"invoke"|"respond",...kind-specific keys}
+# Register events add "var" and "kind" ("R"|"W"); Write invokes carry "arg",
+# completed Read responds "ret".  Unknown header keys (e.g. a "decisions"
+# extension) are ignored on parse.
 # ---------------------------------------------------------------------------
 
 TRACE_VERSION = 1
 
 
-def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def write_trace(header: Mapping[str, object], ops: Iterable, keys: Callable) -> str:
+    """Render ops (anything with ``op_id``, ``proc``, ``start``, ``end``) as
+    a trace under ``header``.  ``keys(op, respond)`` returns the
+    kind-specific keys of the op's invoke (``respond`` false) or respond
+    event; pending ops get no respond event."""
+    events = []
+    for op in ops:
+        events.append({"step": op.start, "op": op.op_id, "proc": op.proc, "act": "invoke",
+                       **keys(op, False)})
+        if op.end is not None:
+            events.append({"step": op.end, "op": op.op_id, "proc": op.proc, "act": "respond",
+                           **keys(op, True)})
+    events.sort(key=lambda e: e["step"])
+    return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+                   for e in [{"version": TRACE_VERSION, **header}, *events])
+
+
+def read_trace(text: str, key: str, build_op: Callable, build: Callable):
+    """Parse a trace whose header carries ``key`` and return
+    ``build(header[key], ops)``.
+
+    Each op is ``build_op(op_id, proc, start, end, invoke, respond)`` on its
+    raw event objects (``end`` and ``respond`` are None for a pending op).
+    Any fault, including a KeyError, TypeError or ValueError raised by a
+    hook, comes out as a :class:`TraceError`.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise TraceError("empty trace")
+    lineno = 1
+    try:
+        header = json.loads(lines[0])
+        if not isinstance(header, dict) or header.get("version") != TRACE_VERSION:
+            raise TraceError("header missing or wrong version")
+        if key not in header:
+            raise TraceError(f"header has no {key!r}")
+        open_ops: dict[int, tuple[int, int, int, dict]] = {}
+        invoked: set[int] = set()
+        ops = []
+        last_step = -1
+        for lineno, line in enumerate(lines[1:], start=2):
+            ev = json.loads(line)
+            step, op_id, proc, act = int(ev["step"]), int(ev["op"]), int(ev["proc"]), ev["act"]
+            if step <= last_step:
+                raise TraceError(f"line {lineno}: step {step} not increasing (duplicate or out of order)")
+            last_step = step
+            if act == "invoke":
+                if op_id in invoked:
+                    raise TraceError(f"line {lineno}: duplicate invoke for op {op_id}")
+                invoked.add(op_id)
+                open_ops[op_id] = (lineno, step, proc, ev)
+            elif act == "respond":
+                if op_id not in open_ops:
+                    raise TraceError(f"line {lineno}: respond without invoke for op {op_id}")
+                _, start, inv_proc, inv = open_ops.pop(op_id)
+                if inv_proc != proc or inv["kind"] != ev["kind"] or inv.get("var") != ev.get("var"):
+                    raise TraceError(f"line {lineno}: respond fields disagree with invoke for op {op_id}")
+                ops.append(build_op(op_id, proc, start, step, inv, ev))
+            else:
+                raise TraceError(f"line {lineno}: unknown act {act!r}")
+        for op_id, (lineno, start, proc, inv) in open_ops.items():
+            ops.append(build_op(op_id, proc, start, None, inv, None))
+        lineno = 1
+        return build(header[key], ops)
+    except TraceError:
+        raise
+    except HistoryError as exc:
+        raise TraceError(str(exc)) from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise TraceError(f"line {lineno}: invalid JSON: {exc}") from None
+    except KeyError as exc:
+        raise TraceError(f"line {lineno}: missing {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceError(f"line {lineno}: malformed: {exc}") from None
+
+
+def _register_keys(op: OpRecord, respond: bool) -> dict:
+    keys = {"var": op.var, "kind": op.kind.value}
+    if op.kind is OpKind.WRITE and not respond:
+        keys["arg"] = op.arg
+    elif op.kind is OpKind.READ and respond:
+        keys["ret"] = op.ret
+    return keys
+
+
+def _register_op(op_id, proc, start, end, inv, resp) -> OpRecord:
+    kind = OpKind(inv["kind"])
+    if not isinstance(inv["var"], str):
+        raise TypeError(f"var {inv['var']!r} is not a string")
+    return OpRecord(
+        op_id=op_id, proc=proc, var=inv["var"], kind=kind, start=start, end=end,
+        arg=int(inv["arg"]) if kind is OpKind.WRITE else None,
+        ret=int(resp["ret"]) if resp is not None and kind is OpKind.READ else None,
+    )
+
+
+def _register_history(raw_vars, ops) -> History:
+    if not isinstance(raw_vars, dict):
+        raise TraceError("header vars is not an object")
+    vars = {
+        name: VarSpec(
+            domain=int(v["domain"]),
+            init=int(v["init"]),
+            writers=frozenset(int(p) for p in v["writers"]),
+            readers=frozenset(int(p) for p in v["readers"]),
+        )
+        for name, v in raw_vars.items()
+    }
+    return History(vars=vars, ops=ops)
 
 
 def serialize_trace(h: History, extensions: Mapping[str, object] | None = None) -> str:
     """Render a History in canonical trace form: header, then one event per
     line in step order.  ``extensions`` adds extra header keys (ignored by
     :func:`parse_trace`)."""
-    header: dict[str, object] = {
-        "version": TRACE_VERSION,
-        "vars": {
-            name: {
-                "domain": spec.domain,
-                "init": spec.init,
-                "writers": sorted(spec.writers),
-                "readers": sorted(spec.readers),
-            }
-            for name, spec in sorted(h.vars.items())
-        },
-    }
-    if extensions:
-        header.update(extensions)
-    events: list[tuple[int, dict]] = []
-    for op in h.ops:
-        inv = {
-            "step": op.start,
-            "op": op.op_id,
-            "proc": op.proc,
-            "var": op.var,
-            "act": "invoke",
-            "kind": op.kind.value,
+    vars = {
+        name: {
+            "domain": spec.domain,
+            "init": spec.init,
+            "writers": sorted(spec.writers),
+            "readers": sorted(spec.readers),
         }
-        if op.kind is OpKind.WRITE:
-            inv["arg"] = op.arg
-        events.append((op.start, inv))
-        if op.completed:
-            resp = {
-                "step": op.end,
-                "op": op.op_id,
-                "proc": op.proc,
-                "var": op.var,
-                "act": "respond",
-                "kind": op.kind.value,
-            }
-            if op.kind is OpKind.READ:
-                resp["ret"] = op.ret
-            events.append((op.end, resp))
-    events.sort(key=lambda e: e[0])
-    lines = [_dump_line(header)] + [_dump_line(e) for _, e in events]
-    return "\n".join(lines) + "\n"
-
-
-def _event_field(ev: dict, key: str, lineno: int):
-    if key not in ev:
-        raise TraceError(f"line {lineno}: event missing {key!r}")
-    return ev[key]
+        for name, spec in sorted(h.vars.items())
+    }
+    return write_trace({"vars": vars, **(extensions or {})}, h.ops, _register_keys)
 
 
 def parse_trace(text: str) -> History:
     """Parse a trace document and return a fully validated History."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TraceError("empty trace")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"line 1: invalid JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("version") != TRACE_VERSION:
-        raise TraceError("header missing or wrong version")
-    raw_vars = header.get("vars")
-    if not isinstance(raw_vars, dict):
-        raise TraceError("header missing vars")
-    vars: dict[str, VarSpec] = {}
-    for name, v in raw_vars.items():
-        try:
-            vars[name] = VarSpec(
-                domain=int(v["domain"]),
-                init=int(v["init"]),
-                writers=frozenset(int(p) for p in v["writers"]),
-                readers=frozenset(int(p) for p in v["readers"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"var {name!r}: bad declaration: {exc}") from None
-
-    open_ops: dict[int, dict] = {}
-    done: list[OpRecord] = []
-    last_step = -1
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            ev = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(ev, dict):
-            raise TraceError(f"line {lineno}: event is not an object")
-        step = int(_event_field(ev, "step", lineno))
-        if step <= last_step:
-            raise TraceError(f"line {lineno}: step {step} not increasing (duplicate or out of order)")
-        last_step = step
-        op_id = int(_event_field(ev, "op", lineno))
-        act = _event_field(ev, "act", lineno)
-        kind_code = _event_field(ev, "kind", lineno)
-        try:
-            kind = OpKind(kind_code)
-        except ValueError:
-            raise TraceError(f"line {lineno}: unknown kind {kind_code!r}") from None
-        proc = int(_event_field(ev, "proc", lineno))
-        var = _event_field(ev, "var", lineno)
-        if act == "invoke":
-            if op_id in open_ops or any(o.op_id == op_id for o in done):
-                raise TraceError(f"line {lineno}: duplicate invoke for op {op_id}")
-            rec = {"proc": proc, "var": var, "kind": kind, "start": step, "arg": None}
-            if kind is OpKind.WRITE:
-                rec["arg"] = int(_event_field(ev, "arg", lineno))
-            open_ops[op_id] = rec
-        elif act == "respond":
-            rec = open_ops.pop(op_id, None)
-            if rec is None:
-                raise TraceError(f"line {lineno}: respond without invoke for op {op_id}")
-            if rec["proc"] != proc or rec["var"] != var or rec["kind"] is not kind:
-                raise TraceError(f"line {lineno}: respond fields disagree with invoke for op {op_id}")
-            ret = None
-            if kind is OpKind.READ:
-                ret = int(_event_field(ev, "ret", lineno))
-            done.append(
-                OpRecord(op_id=op_id, proc=proc, var=var, kind=kind,
-                         start=rec["start"], end=step, arg=rec["arg"], ret=ret)
-            )
-        else:
-            raise TraceError(f"line {lineno}: unknown act {act!r}")
-    for op_id, rec in open_ops.items():
-        done.append(
-            OpRecord(op_id=op_id, proc=rec["proc"], var=rec["var"], kind=rec["kind"],
-                     start=rec["start"], end=None, arg=rec["arg"], ret=None)
-        )
-    try:
-        return History(vars=vars, ops=tuple(done))
-    except TraceError:
-        raise
-    except HistoryError as exc:
-        raise TraceError(str(exc)) from None
+    return read_trace(text, "vars", _register_op, _register_history)

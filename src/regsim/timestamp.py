@@ -13,7 +13,6 @@ ordering of scanned objects, and well-formed scan results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -29,7 +28,7 @@ from .engine import (
     StepProgram,
     WriteAction,
 )
-from .history import HistoryError, SemanticsLevel, TraceError
+from .history import HistoryError, SemanticsLevel, read_trace, write_trace
 
 LABELING = "Labeling"
 SCAN = "Scan"
@@ -248,7 +247,7 @@ def check_cts(h: CtsHistory) -> Verdict:
             continue
         # (c) completeness and internal order
         owners = [e.owner for e in scan.result]
-        if sorted(owners) != list(range(h.n)):
+        if len(owners) != h.n or sorted(owners) != list(range(h.n)):
             return Verdict(
                 ok=False, violating_op=scan.op_id,
                 reason=f"Scan {scan.op_id} result does not cover every process exactly once",
@@ -312,96 +311,47 @@ def extract_cts_history(execution: Execution) -> CtsHistory:
 
 
 # ---------------------------------------------------------------------------
-# Trace codec for timestamp histories (JSON lines, same shape as register
-# traces: a header line, then one event per line in step order)
+# Trace codec: the register trace format with a {"cts":{"n":n}} header and
+# kinds "L"/"S".  A Labeling invoke carries its payload as "arg" and its
+# respond the assigned tag as "ret":[seq,pid]; a Scan respond carries the
+# scanned objects as [owner,seq,pid,payload] lists in temporal order.
 # ---------------------------------------------------------------------------
+
+_CODES = {LABELING: "L", SCAN: "S"}
+_KINDS = {"L": LABELING, "S": SCAN}
+
+
+def _cts_keys(op: CtsOp, respond: bool) -> dict:
+    keys: dict[str, object] = {"kind": _CODES[op.kind]}
+    if op.kind == LABELING and not respond:
+        keys["arg"] = op.payload
+    elif op.kind == LABELING:
+        keys["ret"] = [op.label.seq, op.label.pid]
+    elif respond:
+        keys["ret"] = [[e.owner, e.label.tag.seq, e.label.tag.pid, e.payload] for e in op.result]
+    return keys
+
+
+def _cts_op(op_id, proc, start, end, inv, resp) -> CtsOp:
+    kind = _KINDS[inv["kind"]]
+    if kind == LABELING:
+        label = None
+        if resp is not None:
+            seq, pid = resp["ret"]
+            label = Tag(int(seq), int(pid))
+        return CtsOp(op_id=op_id, proc=proc, kind=kind, start=start, end=end,
+                     payload=int(inv["arg"]), label=label)
+    result = None if resp is None else tuple(
+        LabeledObject(owner=int(o), label=Label(Tag(int(s), int(p))), payload=int(v))
+        for o, s, p, v in resp["ret"]
+    )
+    return CtsOp(op_id=op_id, proc=proc, kind=kind, start=start, end=end, result=result)
 
 
 def serialize_cts_trace(h: CtsHistory, extensions: Mapping[str, object] | None = None) -> str:
-    header: dict[str, object] = {"version": 1, "cts": {"n": h.n}}
-    if extensions:
-        header.update(extensions)
-    events: list[tuple[int, dict]] = []
-    for op in h.ops:
-        code = "L" if op.kind == LABELING else "S"
-        inv = {"step": op.start, "op": op.op_id, "proc": op.proc, "act": "invoke", "kind": code}
-        if op.kind == LABELING:
-            inv["arg"] = op.payload
-        events.append((op.start, inv))
-        if op.completed:
-            resp = {"step": op.end, "op": op.op_id, "proc": op.proc, "act": "respond", "kind": code}
-            if op.kind == LABELING:
-                resp["ret"] = [op.label.seq, op.label.pid]
-            else:
-                resp["ret"] = [
-                    [e.owner, e.label.tag.seq, e.label.tag.pid, e.payload] for e in op.result
-                ]
-            events.append((op.end, resp))
-    events.sort(key=lambda e: e[0])
-    lines = [json.dumps(e, sort_keys=True, separators=(",", ":"))
-             for e in [header] + [ev for _, ev in events]]
-    return "\n".join(lines) + "\n"
+    return write_trace({"cts": {"n": h.n}, **(extensions or {})}, h.ops, _cts_keys)
 
 
 def parse_cts_trace(text: str) -> CtsHistory:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TraceError("empty trace")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"line 1: invalid JSON: {exc}") from None
-    if not isinstance(header, dict) or header.get("version") != 1 or "cts" not in header:
-        raise TraceError("not a timestamp trace header")
-    n = int(header["cts"]["n"])
-    open_ops: dict[int, dict] = {}
-    done: list[CtsOp] = []
-    last_step = -1
-    kinds = {"L": LABELING, "S": SCAN}
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            ev = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: invalid JSON: {exc}") from None
-        try:
-            step = int(ev["step"])
-            op_id = int(ev["op"])
-            proc = int(ev["proc"])
-            act = ev["act"]
-            kind = kinds[ev["kind"]]
-        except (KeyError, TypeError, ValueError):
-            raise TraceError(f"line {lineno}: malformed event") from None
-        if step <= last_step:
-            raise TraceError(f"line {lineno}: step {step} not increasing")
-        last_step = step
-        if act == "invoke":
-            if op_id in open_ops:
-                raise TraceError(f"line {lineno}: duplicate invoke for op {op_id}")
-            open_ops[op_id] = {
-                "proc": proc, "kind": kind, "start": step,
-                "payload": int(ev["arg"]) if kind == LABELING else None,
-            }
-        elif act == "respond":
-            rec = open_ops.pop(op_id, None)
-            if rec is None or rec["proc"] != proc or rec["kind"] != kind:
-                raise TraceError(f"line {lineno}: respond does not match invoke for op {op_id}")
-            if kind == LABELING:
-                seq, pid = ev["ret"]
-                done.append(CtsOp(op_id=op_id, proc=proc, kind=kind, start=rec["start"],
-                                  end=step, payload=rec["payload"], label=Tag(int(seq), int(pid))))
-            else:
-                result = tuple(
-                    LabeledObject(owner=int(o), label=Label(Tag(int(s), int(p))), payload=int(v))
-                    for o, s, p, v in ev["ret"]
-                )
-                done.append(CtsOp(op_id=op_id, proc=proc, kind=kind, start=rec["start"],
-                                  end=step, result=result))
-        else:
-            raise TraceError(f"line {lineno}: unknown act {act!r}")
-    for op_id, rec in open_ops.items():
-        done.append(CtsOp(op_id=op_id, proc=rec["proc"], kind=rec["kind"],
-                          start=rec["start"], payload=rec["payload"]))
-    try:
-        return CtsHistory(n=n, ops=tuple(done))
-    except HistoryError as exc:
-        raise TraceError(str(exc)) from None
+    return read_trace(text, "cts", _cts_op,
+                      lambda spec, ops: CtsHistory(n=int(spec["n"]), ops=tuple(ops)))

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from regsim import cli
 from regsim.cli import main
 
@@ -69,6 +71,20 @@ def test_simulate_engine_error_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
 
 
+def test_out_of_memory_exit_three(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_execution", exhausted)
+    monkeypatch.setattr(cli, "enumerate_executions", exhausted)
+    cfg = write_config(tmp_path)
+    for argv in (["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+                 ["enumerate", "--config", cfg, "--out", str(tmp_path / "e")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory\n"
+
+
 # -- enumerate ----------------------------------------------------------------
 
 
@@ -78,7 +94,7 @@ def test_enumerate_multiwriter_atomic_exit_zero(tmp_path, capsys):
     assert main(["enumerate", "--config", cfg, "--check", "atomic", "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["executions"] == 8008
-    assert not report["truncated"]
+    assert not report["truncated"] and report["truncated_by"] == []
     v = report["verdicts"]["atomic"]
     assert v["pass"] + v["fail"] == report["executions"] and v["fail"] == 0
     assert report["counterexample"] is None
@@ -117,6 +133,17 @@ def test_enumerate_limit_truncation_exit_three(tmp_path):
     assert main(["enumerate", "--config", cfg, "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["truncated"] and report["executions"] == 1
+    assert report["truncated_by"] == ["max_executions"]
+
+
+def test_enumerate_max_steps_truncation_names_the_limit(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", cfg, "--max-steps", "3", "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["truncated"] and report["truncated_by"] == ["max_steps"]
+    assert report["executions"] == 0
+    assert "(truncated by max_steps)" in capsys.readouterr().out
 
 
 def test_enumerate_unknown_limit_key_exit_two(tmp_path, capsys):
@@ -255,6 +282,55 @@ def test_check_corrupt_trace_exit_two(tmp_path, capsys):
 
 def test_check_missing_file_exit_two(tmp_path):
     assert main(["check", str(tmp_path / "nope.jsonl"), "--level", "safe"]) == 2
+
+
+CTS_HEADER = '{"cts":{"n":1},"version":1}'
+CTS_LABELING = ('{"act":"invoke","arg":5,"kind":"L","op":0,"proc":0,"step":0}\n'
+                '{"act":"respond","kind":"L","op":0,"proc":0,"ret":[1,0],"step":1}\n')
+CTS_SCAN = ('{"act":"invoke","kind":"S","op":1,"proc":0,"step":2}\n'
+            '{"act":"respond","kind":"S","op":1,"proc":0,"ret":[[0,1,0,5]],"step":3}\n')
+REG_HEADER = '{"version":1,"vars":{"X":{"domain":4,"init":0,"writers":[0],"readers":[1]}}}'
+REG_WRITE = ('{"step":0,"op":0,"proc":0,"var":"X","act":"invoke","kind":"W","arg":3}\n'
+             '{"step":1,"op":0,"proc":0,"var":"X","act":"respond","kind":"W"}\n')
+
+
+@pytest.mark.parametrize("level, text", [
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace("[1,0]", "[1]"),
+                 id="cts-labeling-ret-one-element"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace('"arg":5,', ""),
+                 id="cts-labeling-invoke-without-arg"),
+    pytest.param("cts", '{"cts":{"n":"x"},"version":1}\n' + CTS_LABELING,
+                 id="cts-header-n-not-a-number"),
+    pytest.param("cts", '{"cts":5,"version":1}\n' + CTS_LABELING, id="cts-header-not-an-object"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING + CTS_SCAN.replace("[[0,1,0,5]]", "[[0,1]]"),
+                 id="cts-scan-ret-short-entry"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"step":1', '"step":"x"'),
+                 id="register-step-not-a-number"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"var":"X"', '"var":["X"]'),
+                 id="register-var-a-list"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"arg":3', '"arg":null'),
+                 id="register-write-arg-null"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"step":1', '"step":1e400'),
+                 id="register-step-infinite"),
+    pytest.param("atomic", REG_HEADER + "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
+                 id="register-event-nested-too-deep"),
+])
+def test_check_malformed_trace_exit_two(tmp_path, capsys, level, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--level", level]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_check_cts_trace_with_huge_n_fails_quickly(tmp_path, capsys):
+    # A Scan cannot cover 10^12 processes; the checker must say so without
+    # building a list of every process id.
+    path = tmp_path / "big.jsonl"
+    path.write_text('{"cts":{"n":1000000000000},"version":1}\n' + CTS_SCAN.replace('"step":2', '"step":0'),
+                    encoding="utf-8")
+    assert main(["check", str(path), "--level", "cts"]) == 1
+    assert "does not cover every process" in capsys.readouterr().out
 
 
 def test_check_cts_trace(tmp_path):

@@ -95,7 +95,7 @@ def test_two_atomic_base_ops_enumerate_to_interleaving_count():
     spec = atomic_bit()
     res = enumerate_executions(spec, [[("Write", 1)], [("Read", None)]])
     assert res.count == math.comb(4, 2)
-    assert not res.truncated
+    assert not res.truncated and res.truncated_by == ()
     assert len(res.executions) == res.count
     assert len({e.decisions for e in res.executions}) == res.count
 
@@ -112,6 +112,7 @@ def test_enumeration_truncates_at_max_executions():
         spec, [[("Write", 1)], [("Read", None)]], {"max_executions": 1}
     )
     assert res.count == 1 and res.truncated
+    assert res.truncated_by == ("max_executions",)
 
 
 def test_enumeration_truncates_at_max_steps():
@@ -120,6 +121,7 @@ def test_enumeration_truncates_at_max_steps():
         spec, [[("Write", 1)], [("Read", None)]], {"max_steps": 2}
     )
     assert res.count == 0 and res.truncated
+    assert res.truncated_by == ("max_steps",)
 
 
 def test_visitor_early_stop():

@@ -315,3 +315,31 @@ def test_pending_op_survives_round_trip():
     h = hist(w(0, 0, None, 5))
     h2 = parse_trace(serialize_trace(h))
     assert h2 == h and not h2.ops[0].completed
+
+
+GOLDEN_REGISTER_TRACE = (
+    '{"decisions":[[0,null],[1,2]],"vars":{"X":{"domain":4,"init":0,"readers":[1],"writers":[0]},'
+    '"Y":{"domain":2,"init":1,"readers":[0,1],"writers":[1]}},"version":1}\n'
+    '{"act":"invoke","arg":2,"kind":"W","op":0,"proc":0,"step":0,"var":"X"}\n'
+    '{"act":"invoke","kind":"R","op":1,"proc":1,"step":1,"var":"X"}\n'
+    '{"act":"respond","kind":"R","op":1,"proc":1,"ret":0,"step":2,"var":"X"}\n'
+    '{"act":"respond","kind":"W","op":0,"proc":0,"step":3,"var":"X"}\n'
+    '{"act":"invoke","kind":"R","op":2,"proc":1,"step":4,"var":"Y"}\n'
+    '{"act":"invoke","arg":3,"kind":"W","op":3,"proc":0,"step":5,"var":"X"}\n'
+    '{"act":"respond","kind":"R","op":2,"proc":1,"ret":1,"step":6,"var":"Y"}\n'
+)
+
+
+def test_trace_bytes_are_pinned():
+    h = History(
+        vars={"X": VarSpec(domain=4, init=0, writers=frozenset({0}), readers=frozenset({1})),
+              "Y": VarSpec(domain=2, init=1, writers=frozenset({1}), readers=frozenset({0, 1}))},
+        ops=(
+            OpRecord(op_id=0, proc=0, var="X", kind=OpKind.WRITE, start=0, end=3, arg=2),
+            OpRecord(op_id=1, proc=1, var="X", kind=OpKind.READ, start=1, end=2, ret=0),
+            OpRecord(op_id=2, proc=1, var="Y", kind=OpKind.READ, start=4, end=6, ret=1),
+            OpRecord(op_id=3, proc=0, var="X", kind=OpKind.WRITE, start=5, arg=3),
+        ),
+    )
+    assert serialize_trace(h, {"decisions": [[0, None], [1, 2]]}) == GOLDEN_REGISTER_TRACE
+    assert parse_trace(GOLDEN_REGISTER_TRACE) == h

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from regsim import (
@@ -221,3 +223,36 @@ def test_cts_trace_round_trip_with_pending():
         ),
     )
     assert parse_cts_trace(serialize_cts_trace(h)) == h
+
+
+def test_cts_trace_round_trip_on_random_executions():
+    rng = random.Random(53)
+    for seed in range(150):
+        n = rng.randint(1, 3)
+        workload = [
+            [(LABELING, rng.randrange(8)) if rng.random() < 0.6 else (SCAN, None)
+             for _ in range(rng.randint(0, 2))]
+            for _ in range(n)
+        ]
+        h = extract_cts_history(random_execution(build_cts(n), workload, seed))
+        assert parse_cts_trace(serialize_cts_trace(h)) == h
+
+
+GOLDEN_CTS_TRACE = (
+    '{"cts":{"n":2},"decisions":[[1,null]],"version":1}\n'
+    '{"act":"invoke","arg":5,"kind":"L","op":0,"proc":0,"step":0}\n'
+    '{"act":"invoke","kind":"S","op":1,"proc":1,"step":1}\n'
+    '{"act":"respond","kind":"L","op":0,"proc":0,"ret":[1,0],"step":2}\n'
+    '{"act":"invoke","arg":7,"kind":"L","op":2,"proc":0,"step":3}\n'
+    '{"act":"respond","kind":"S","op":1,"proc":1,"ret":[[1,0,1,0],[0,1,0,5]],"step":4}\n'
+)
+
+
+def test_cts_trace_bytes_are_pinned():
+    h = CtsHistory(n=2, ops=(
+        CtsOp(op_id=0, proc=0, kind=LABELING, start=0, end=2, payload=5, label=Tag(1, 0)),
+        CtsOp(op_id=1, proc=1, kind=SCAN, start=1, end=4, result=(obj(1, 0, 1), obj(0, 1, 0, 5))),
+        CtsOp(op_id=2, proc=0, kind=LABELING, start=3, payload=7),
+    ))
+    assert serialize_cts_trace(h, {"decisions": [[1, None]]}) == GOLDEN_CTS_TRACE
+    assert parse_cts_trace(GOLDEN_CTS_TRACE) == h
