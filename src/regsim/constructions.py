@@ -91,10 +91,15 @@ class TagCodec:
         seq, pid = divmod(rest, self.n_pids)
         return TaggedValue(Tag(seq, pid), val)
 
+    def seq(self, raw: int) -> int:
+        """``decode(raw).tag.seq``, without building the tag."""
+        return raw // (self.n_pids * self.payload_domain)
+
 
 def _max_tagged(codec: TagCodec, a: int, b: int) -> int:
-    """The encoded value carrying the larger tag (payload ignored)."""
-    if tag_less(codec.decode(a).tag, codec.decode(b).tag):
+    """The encoded value carrying the larger tag (payload ignored): ``raw //
+    payload_domain`` is ``seq * n_pids + pid``, ordered as ``tag_less``."""
+    if a // codec.payload_domain < b // codec.payload_domain:
         return b
     return a
 
@@ -338,7 +343,7 @@ class _MultiWriterProgram(StepProgram):
         phase = state[0]
         if phase == "w":
             _, k, max_seq, arg = state
-            seq = self.codec.decode(result).tag.seq
+            seq = self.codec.seq(result)
             if seq > max_seq:
                 max_seq = seq
             if k < self.n:

@@ -24,8 +24,10 @@ Step indices are assigned globally in scheduling order, one per event.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 from .history import History, OpKind, OpRecord, SemanticsLevel, VarSpec
 
@@ -128,6 +130,11 @@ class ProtocolSpec:
         if len(set(names)) != len(names):
             raise EngineError("duplicate base register names")
 
+    @cached_property
+    def _high_vars(self) -> dict[str, VarSpec]:
+        """The implemented variable's declaration, built once per protocol."""
+        return {self.var_name: VarSpec(self.domain, self.init, self.writers, self.readers)}
+
 
 @dataclass(frozen=True, slots=True)
 class HLOp:
@@ -182,6 +189,29 @@ class EnumerationResult:
     executions: tuple[Execution, ...] = ()
 
 
+class _Choices(Sequence):
+    """A node's (proc, value) decisions, flattened lazily from (proc, values)
+    branches, values ``(None,)`` for a scheduler step.  A safe Read's values
+    stay a ``range``: 2^24 of them on a tag-encoded multiwriter n=2."""
+
+    def __init__(self, branches: list[tuple[int, Sequence[int | None]]]):
+        self.branches = branches
+        self.size = sum(len(values) for _, values in branches)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> Decision:
+        for proc, values in self.branches:
+            if 0 <= i < len(values):
+                return proc, values[i]
+            i -= len(values)
+        raise IndexError(i)
+
+    def __iter__(self) -> Iterator[Decision]:
+        return ((proc, v) for proc, values in self.branches for v in values)
+
+
 # Per-process runtime slots.
 _IDLE, _PENDING_INVOKE, _MID, _ENDING = range(4)
 (_P_MEM, _P_STATE, _P_PHASE, _P_ACTION, _P_OPIDX, _P_KIND,
@@ -220,70 +250,63 @@ class _Sim:
             p[_P_PHASE] = _IDLE
             p[_P_OPIDX] = 0
             self.procs.append(p)
+        self.n_ops = [len(ops) for ops in self.workload]
+        # Registers whose base Reads the adversary answers.
+        self.weak = [r.semantics is not SemanticsLevel.ATOMIC for r in self.regs]
+        self.step_choice = [(proc, None) for proc in range(spec.n_processes)]
 
     # -- decision surface ---------------------------------------------------
-
-    def enabled(self, proc: int) -> bool:
-        p = self.procs[proc]
-        return p[_P_PHASE] != _IDLE or p[_P_OPIDX] < len(self.workload[proc])
-
-    def done(self) -> bool:
-        return not any(self.enabled(proc) for proc in range(self.spec.n_processes))
-
-    def needs_value(self, proc: int) -> bool:
-        p = self.procs[proc]
-        if p[_P_PHASE] != _MID:
-            return False
-        action = p[_P_ACTION]
-        return (
-            type(action) is ReadAction
-            and self.regs[action.reg].semantics is not SemanticsLevel.ATOMIC
-        )
 
     def feasible(self, proc: int) -> Sequence[int]:
         """Adversary choices for the safe/regular base Read ``proc`` is about
         to complete, computed at respond time from the register's base
-        history so far (pending Writes overlap everything after them)."""
+        history so far (pending Writes overlap everything after them).  Its
+        one writer is sequential, so the last Write ended is the latest."""
         p = self.procs[proc]
         reg_idx = p[_P_ACTION].reg
         reg = self.regs[reg_idx]
         r_inv = p[_P_BINV]
         latest_val = reg.init
-        latest_end = -1
         overlapping = []
         for s, e, v in self.reg_writes[reg_idx]:
             if e is not None and e < r_inv:
-                if e > latest_end:
-                    latest_end = e
-                    latest_val = v
+                latest_val = v
             else:
                 overlapping.append(v)
         if not overlapping:
             return (latest_val,)
         if reg.semantics is SemanticsLevel.SAFE:
             return range(reg.domain)
-        vals = set(overlapping)
-        vals.add(latest_val)
-        return tuple(sorted(vals))
+        return tuple(sorted({latest_val, *overlapping}))
 
-    def choices(self) -> list[Decision]:
-        out: list[Decision] = []
-        for proc in range(self.spec.n_processes):
-            if not self.enabled(proc):
-                continue
-            if self.needs_value(proc):
-                out.extend((proc, v) for v in self.feasible(proc))
-            else:
-                out.append((proc, None))
-        return out
+    def choices(self) -> Sequence[Decision]:
+        """This node's decisions in process order: (proc, None) for a
+        scheduler step, then (proc, v) for each value an adversary-answered
+        base Read may return.  Where the adversary chooses, the list is a
+        lazy :class:`_Choices` that keeps each value set as computed."""
+        out: list = []  # (proc, None) steps and (proc, values) adversary branches
+        adversary = False
+        for proc, p in enumerate(self.procs):
+            phase = p[_P_PHASE]
+            action = p[_P_ACTION]
+            if phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
+                out.append((proc, self.feasible(proc)))
+                adversary = True
+            elif phase != _IDLE or p[_P_OPIDX] < self.n_ops[proc]:
+                out.append(self.step_choice[proc])
+        if not adversary:
+            return out
+        return _Choices([(proc, (None,) if vals is None else vals) for proc, vals in out])
 
     # -- event application --------------------------------------------------
 
     def apply(self, proc: int, value: int | None):
         """Perform one scheduler event for ``proc``; returns an undo token."""
-        if not 0 <= proc < self.spec.n_processes or not self.enabled(proc):
+        p = self.procs[proc] if 0 <= proc < self.spec.n_processes else None
+        if p is None or p[_P_PHASE] == _IDLE and p[_P_OPIDX] >= self.n_ops[proc]:
             raise InvalidDecision(f"process {proc} has no pending step")
-        if self.needs_value(proc):
+        phase, action = p[_P_PHASE], p[_P_ACTION]
+        if phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
             if value is None:
                 raise InvalidDecision(f"process {proc}: adversary value required")
             if value not in self.feasible(proc):
@@ -291,13 +314,11 @@ class _Sim:
         elif value is not None:
             raise InvalidDecision(f"process {proc}: unexpected adversary value")
 
-        p = self.procs[proc]
         snap = tuple(p)
         step = self.step
         self.step += 1
         reg_undo = None
         hl_done = False
-        phase = p[_P_PHASE]
 
         if phase == _IDLE:
             kind, arg = self.workload[proc][p[_P_OPIDX]]
@@ -317,11 +338,9 @@ class _Sim:
         elif phase == _PENDING_INVOKE:
             reg_undo = self._invoke(p, proc, p[_P_ACTION], p[_P_STATE], step)
         elif phase == _MID:
-            action = p[_P_ACTION]
             reg_idx = action.reg
-            reg = self.regs[reg_idx]
             if type(action) is WriteAction:
-                if reg.semantics is SemanticsLevel.ATOMIC:
+                if not self.weak[reg_idx]:
                     reg_undo = ("val", reg_idx, self.reg_vals[reg_idx])
                     self.reg_vals[reg_idx] = action.value
                 else:
@@ -333,10 +352,7 @@ class _Sim:
                 result = None
                 self.events.append((step, proc, "br", reg_idx, "W", action.value, p[_P_UID]))
             else:
-                if reg.semantics is SemanticsLevel.ATOMIC:
-                    result = self.reg_vals[reg_idx]
-                else:
-                    result = value
+                result = value if self.weak[reg_idx] else self.reg_vals[reg_idx]
                 self.events.append((step, proc, "br", reg_idx, "R", result, p[_P_UID]))
             nxt, state = self.program.resume(proc, p[_P_MEM], p[_P_STATE], result)
             if type(nxt) is ReturnAction:
@@ -381,7 +397,7 @@ class _Sim:
         reg_undo = None
         if type(action) is WriteAction:
             self.events.append((step, proc, "bi", reg_idx, "W", action.value, p[_P_UID]))
-            if self.regs[reg_idx].semantics is not SemanticsLevel.ATOMIC:
+            if self.weak[reg_idx]:
                 self.reg_writes[reg_idx].append([step, None, action.value])
                 reg_undo = ("wpend", reg_idx)
         else:
@@ -393,13 +409,9 @@ class _Sim:
         return reg_undo
 
     def _finish_op(self, p: list, proc: int, action: ReturnAction, step: int) -> None:
-        self.hlops.append(
-            HLOp(
-                op_id=p[_P_UID], proc=proc, kind=p[_P_KIND], arg=p[_P_ARG],
-                ret=action.value, start=p[_P_FIRST], end=step,
-                base_accesses=p[_P_ACC],
-            )
-        )
+        # op_id, proc, kind, arg, ret, start, end, base_accesses
+        self.hlops.append(HLOp(p[_P_UID], proc, p[_P_KIND], p[_P_ARG], action.value,
+                               p[_P_FIRST], step, p[_P_ACC]))
         p[_P_MEM] = action.memory
         p[_P_OPIDX] += 1
         p[_P_PHASE] = _IDLE
@@ -441,7 +453,7 @@ def run_schedule(spec: ProtocolSpec, workload: Workload, decisions: Iterable[Dec
     sim = _Sim(spec, workload)
     for proc, value in decisions:
         sim.apply(proc, value)
-    if not sim.done():
+    if sim.choices():
         raise InvalidDecision("decision sequence ends before the workload completes")
     return sim.snapshot()
 
@@ -476,10 +488,10 @@ def enumerate_executions(
     collected: list[Execution] = []
     sim = _Sim(spec, workload)
 
-    # One (choices, next choice, undo token of the applied one) frame per
-    # node on the current branch, so the depth is bounded by max_steps
-    # rather than by Python's recursion limit.
-    stack: list[tuple[list[Decision], int, object]] = []
+    # One (iterator over the node's choices, undo token of the applied one)
+    # frame per node on the current branch, so the depth is bounded by
+    # max_steps rather than by Python's recursion limit.
+    stack: list[tuple[Iterator[Decision], object]] = []
     choices = sim.choices()
     while True:
         if not choices:
@@ -496,15 +508,15 @@ def enumerate_executions(
         elif sim.step >= max_steps:
             cut_steps = True  # cut this branch, keep exploring siblings
         else:
-            stack.append((choices, 0, None))
+            stack.append((iter(choices), None))
         # Step to the next unexplored child, backtracking past exhausted nodes.
         while stack:
-            choices, i, token = stack.pop()
+            rest, token = stack.pop()
             if token is not None:
                 sim.undo(token)
-            if i < len(choices):
-                proc, value = choices[i]
-                stack.append((choices, i + 1, sim.apply(proc, value)))
+            decision = next(rest, None)
+            if decision is not None:
+                stack.append((rest, sim.apply(*decision)))
                 break
         else:
             break
@@ -557,24 +569,14 @@ def extract_history(execution: Execution, scope: str = SCOPE_HIGH) -> History:
                 f"protocol {spec.name!r} implements no register variable; "
                 "use its own history extraction"
             )
-        vars = {
-            spec.var_name: VarSpec(
-                domain=spec.domain, init=spec.init,
-                writers=spec.writers, readers=spec.readers,
-            )
-        }
         ops = []
         for op in execution.ops:
             kind = _KIND_TO_OPKIND[op.kind]
-            ops.append(
-                OpRecord(
-                    op_id=op.op_id, proc=op.proc, var=spec.var_name, kind=kind,
-                    start=op.start, end=op.end,
-                    arg=op.arg if kind is OpKind.WRITE else None,
-                    ret=op.ret if kind is OpKind.READ else None,
-                )
-            )
-        return History(vars=vars, ops=tuple(ops))
+            write = kind is OpKind.WRITE
+            # op_id, proc, var, kind, start, end, arg, ret
+            ops.append(OpRecord(op.op_id, op.proc, spec.var_name, kind, op.start, op.end,
+                                op.arg if write else None, None if write else op.ret))
+        return History(vars=spec._high_vars, ops=tuple(ops))
     if scope != SCOPE_BASE:
         raise EngineError(f"unknown extraction scope {scope!r}")
     vars = {

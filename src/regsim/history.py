@@ -140,58 +140,45 @@ class History:
         self._validate()
 
     def _validate(self) -> None:
-        for name, spec in self.vars.items():
+        vars = self.vars
+        for name, spec in vars.items():
             spec._validate(name)
         steps: set[int] = set()
-        per_proc: dict[int, list[OpRecord]] = {}
         ids: set[int] = set()
+        # Processes are sequential: a process's operations never overlap,
+        # and a pending operation is its process's last.  For 1-writer
+        # variables that also puts all Writes in one total order.
+        last: dict[int, OpRecord] = {}
         for op in self.ops:
             op._validate()
-            if op.op_id in ids:
-                raise HistoryError(f"duplicate op id {op.op_id}")
-            ids.add(op.op_id)
-            spec = self.vars.get(op.var)
+            op_id, proc, start, end = op.op_id, op.proc, op.start, op.end
+            if op_id in ids:
+                raise HistoryError(f"duplicate op id {op_id}")
+            ids.add(op_id)
+            spec = vars.get(op.var)
             if spec is None:
-                raise HistoryError(f"op {op.op_id}: undeclared variable {op.var!r}")
+                raise HistoryError(f"op {op_id}: undeclared variable {op.var!r}")
             if op.kind is OpKind.WRITE:
-                if op.proc not in spec.writers:
-                    raise HistoryError(f"op {op.op_id}: proc {op.proc} is not a writer of {op.var!r}")
+                if proc not in spec.writers:
+                    raise HistoryError(f"op {op_id}: proc {proc} is not a writer of {op.var!r}")
                 if not 0 <= op.arg < spec.domain:
-                    raise HistoryError(f"op {op.op_id}: arg {op.arg} outside domain of {op.var!r}")
+                    raise HistoryError(f"op {op_id}: arg {op.arg} outside domain of {op.var!r}")
             else:
-                if op.proc not in spec.readers:
-                    raise HistoryError(f"op {op.op_id}: proc {op.proc} is not a reader of {op.var!r}")
+                if proc not in spec.readers:
+                    raise HistoryError(f"op {op_id}: proc {proc} is not a reader of {op.var!r}")
                 if op.ret is not None and not 0 <= op.ret < spec.domain:
-                    raise HistoryError(f"op {op.op_id}: ret {op.ret} outside domain of {op.var!r}")
-            for s in (op.start, op.end):
-                if s is not None:
-                    if s in steps:
-                        raise HistoryError(f"duplicate step index {s}")
-                    steps.add(s)
-            per_proc.setdefault(op.proc, []).append(op)
-        # Processes are sequential: a process's operations never overlap,
-        # and a pending operation is its process's last.
-        for proc, ops in per_proc.items():
-            prev: OpRecord | None = None
-            for op in ops:  # already sorted by start
-                if prev is not None:
-                    if prev.end is None or prev.end > op.start:
-                        raise HistoryError(
-                            f"proc {proc}: ops {prev.op_id} and {op.op_id} overlap"
-                        )
-                prev = op
-        # For 1-writer variables all Writes are issued by one sequential
-        # process, so total write order follows from the per-process check;
-        # re-verified here so hand-built histories fail loudly.
-        for name, spec in self.vars.items():
-            if len(spec.writers) == 1:
-                writes = sorted(
-                    (o for o in self.ops if o.var == name and o.kind is OpKind.WRITE),
-                    key=lambda o: o.start,
-                )
-                for a, b in zip(writes, writes[1:]):
-                    if a.end is None or a.end > b.start:
-                        raise HistoryError(f"var {name!r}: Writes {a.op_id}, {b.op_id} not totally ordered")
+                    raise HistoryError(f"op {op_id}: ret {op.ret} outside domain of {op.var!r}")
+            if start in steps:
+                raise HistoryError(f"duplicate step index {start}")
+            steps.add(start)
+            if end is not None:
+                if end in steps:
+                    raise HistoryError(f"duplicate step index {end}")
+                steps.add(end)
+            prev = last.get(proc)
+            if prev is not None and (prev.end is None or prev.end > start):
+                raise HistoryError(f"proc {proc}: ops {prev.op_id} and {op_id} overlap")
+            last[proc] = op
 
     def ops_on(self, var: str) -> tuple[OpRecord, ...]:
         return tuple(o for o in self.ops if o.var == var)
@@ -279,12 +266,12 @@ def read_trace(text: str, key: str, build_op: Callable, build: Callable):
     Any fault, including a KeyError, TypeError or ValueError raised by a
     hook, comes out as a :class:`TraceError`.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise TraceError("empty trace")
-    lineno = 1
+    lineno = header_line = lines[0][0]
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
         if not isinstance(header, dict) or header.get("version") != TRACE_VERSION:
             raise TraceError("header missing or wrong version")
         if key not in header:
@@ -293,9 +280,10 @@ def read_trace(text: str, key: str, build_op: Callable, build: Callable):
         invoked: set[int] = set()
         ops = []
         last_step = -1
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in lines[1:]:
             ev = json.loads(line)
-            step, op_id, proc, act = int(ev["step"]), int(ev["op"]), int(ev["proc"]), ev["act"]
+            step, op_id = trace_int(ev["step"], "step"), trace_int(ev["op"], "op")
+            proc, act = trace_int(ev["proc"], "proc"), ev["act"]
             if step <= last_step:
                 raise TraceError(f"line {lineno}: step {step} not increasing (duplicate or out of order)")
             last_step = step
@@ -315,7 +303,7 @@ def read_trace(text: str, key: str, build_op: Callable, build: Callable):
                 raise TraceError(f"line {lineno}: unknown act {act!r}")
         for op_id, (lineno, start, proc, inv) in open_ops.items():
             ops.append(build_op(op_id, proc, start, None, inv, None))
-        lineno = 1
+        lineno = header_line
         return build(header[key], ops)
     except TraceError:
         raise
@@ -327,6 +315,13 @@ def read_trace(text: str, key: str, build_op: Callable, build: Callable):
         raise TraceError(f"line {lineno}: missing {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"line {lineno}: malformed: {exc}") from None
+
+
+def trace_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _register_keys(op: OpRecord, respond: bool) -> dict:
@@ -344,8 +339,8 @@ def _register_op(op_id, proc, start, end, inv, resp) -> OpRecord:
         raise TypeError(f"var {inv['var']!r} is not a string")
     return OpRecord(
         op_id=op_id, proc=proc, var=inv["var"], kind=kind, start=start, end=end,
-        arg=int(inv["arg"]) if kind is OpKind.WRITE else None,
-        ret=int(resp["ret"]) if resp is not None and kind is OpKind.READ else None,
+        arg=trace_int(inv["arg"], "arg") if kind is OpKind.WRITE else None,
+        ret=trace_int(resp["ret"], "ret") if resp is not None and kind is OpKind.READ else None,
     )
 
 
@@ -354,10 +349,10 @@ def _register_history(raw_vars, ops) -> History:
         raise TraceError("header vars is not an object")
     vars = {
         name: VarSpec(
-            domain=int(v["domain"]),
-            init=int(v["init"]),
-            writers=frozenset(int(p) for p in v["writers"]),
-            readers=frozenset(int(p) for p in v["readers"]),
+            domain=trace_int(v["domain"], "domain"),
+            init=trace_int(v["init"], "init"),
+            writers=frozenset(trace_int(p, "writer") for p in v["writers"]),
+            readers=frozenset(trace_int(p, "reader") for p in v["readers"]),
         )
         for name, v in raw_vars.items()
     }

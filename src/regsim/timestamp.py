@@ -28,7 +28,7 @@ from .engine import (
     StepProgram,
     WriteAction,
 )
-from .history import HistoryError, SemanticsLevel, read_trace, write_trace
+from .history import HistoryError, SemanticsLevel, read_trace, trace_int, write_trace
 
 LABELING = "Labeling"
 SCAN = "Scan"
@@ -55,8 +55,8 @@ ScanResult = tuple[LabeledObject, ...]
 def scan_order(entries: Iterable[LabeledObject]) -> ScanResult:
     """Sort labeled objects into temporal order (ascending tag).
 
-    Pure; used by both the Scan program and the checker.  Exactly one entry
-    per owner is required.
+    Pure; the checker's reference for a Scan's order.  Exactly one entry per
+    owner is required.
     """
     items = list(entries)
     owners = [e.owner for e in items]
@@ -92,7 +92,7 @@ class _CtsProgram(StepProgram):
         phase = state[0]
         if phase == "l":
             _, k, max_seq, payload = state
-            seq = self.codec.decode(result).tag.seq
+            seq = self.codec.seq(result)
             if seq > max_seq:
                 max_seq = seq
             if k < self.n:
@@ -104,14 +104,9 @@ class _CtsProgram(StepProgram):
             seen = seen + (result,)
             if k < self.n:
                 return ReadAction(k), ("s", k + 1, seen)
-            objs = [
-                LabeledObject(owner=i, label=Label(tv.tag), payload=tv.val)
-                for i, tv in enumerate(map(self.codec.decode, seen))
-            ]
-            wire = tuple(
-                (o.owner, o.label.tag.seq, o.label.tag.pid, o.payload)
-                for o in scan_order(objs)
-            )
+            tagged = [self.codec.decode(raw) for raw in seen]
+            wire = tuple((i, *tagged[i].tag, tagged[i].val)
+                         for i in sorted(range(self.n), key=lambda i: tagged[i].tag))
             return ReturnAction(wire, mem), None
         # commit
         _, seq = state
@@ -338,11 +333,13 @@ def _cts_op(op_id, proc, start, end, inv, resp) -> CtsOp:
         label = None
         if resp is not None:
             seq, pid = resp["ret"]
-            label = Tag(int(seq), int(pid))
+            label = Tag(trace_int(seq, "seq"), trace_int(pid, "pid"))
         return CtsOp(op_id=op_id, proc=proc, kind=kind, start=start, end=end,
-                     payload=int(inv["arg"]), label=label)
+                     payload=trace_int(inv["arg"], "arg"), label=label)
     result = None if resp is None else tuple(
-        LabeledObject(owner=int(o), label=Label(Tag(int(s), int(p))), payload=int(v))
+        LabeledObject(owner=trace_int(o, "owner"),
+                      label=Label(Tag(trace_int(s, "seq"), trace_int(p, "pid"))),
+                      payload=trace_int(v, "payload"))
         for o, s, p, v in resp["ret"]
     )
     return CtsOp(op_id=op_id, proc=proc, kind=kind, start=start, end=end, result=result)
@@ -354,4 +351,4 @@ def serialize_cts_trace(h: CtsHistory, extensions: Mapping[str, object] | None =
 
 def parse_cts_trace(text: str) -> CtsHistory:
     return read_trace(text, "cts", _cts_op,
-                      lambda spec, ops: CtsHistory(n=int(spec["n"]), ops=tuple(ops)))
+                      lambda spec, ops: CtsHistory(n=trace_int(spec["n"], "n"), ops=tuple(ops)))

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -195,6 +197,24 @@ def test_enumerate_base_semantics_override_exposes_weakness(tmp_path):
     assert main(["check", report["counterexample"], "--level", "atomic"]) == 1
 
 
+def test_enumerate_safe_tag_encoded_bases_truncates_lazily(tmp_path):
+    # A safe base Read overlapping a Write may return any of the 16,777,216
+    # encoded values of multiwriter n=2; that branch must not be listed.
+    cfg = write_config(tmp_path, base_semantics="safe")
+    out = tmp_path / "enum"
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["enumerate", "--config", cfg, "--max-executions", "5", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and time.perf_counter() - t0 < 10
+    assert peak < 8 * 2**20
+    report = json.loads((out / "report.json").read_text())
+    assert report["truncated_by"] == ["max_executions"] and report["executions"] == 5
+
+
 def test_enumerate_cts_scenario(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -292,6 +312,8 @@ CTS_SCAN = ('{"act":"invoke","kind":"S","op":1,"proc":0,"step":2}\n'
 REG_HEADER = '{"version":1,"vars":{"X":{"domain":4,"init":0,"writers":[0],"readers":[1]}}}'
 REG_WRITE = ('{"step":0,"op":0,"proc":0,"var":"X","act":"invoke","kind":"W","arg":3}\n'
              '{"step":1,"op":0,"proc":0,"var":"X","act":"respond","kind":"W"}\n')
+REG_READ = ('{"step":2,"op":1,"proc":1,"var":"X","act":"invoke","kind":"R"}\n'
+            '{"step":3,"op":1,"proc":1,"var":"X","act":"respond","kind":"R","ret":3}\n')
 
 
 @pytest.mark.parametrize("level, text", [
@@ -314,6 +336,31 @@ REG_WRITE = ('{"step":0,"op":0,"proc":0,"var":"X","act":"invoke","kind":"W","arg
                  id="register-step-infinite"),
     pytest.param("atomic", REG_HEADER + "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
                  id="register-event-nested-too-deep"),
+    # Only JSON integers are integers: each of these once parsed as one.
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"step":1', '"step":1.0'),
+                 id="register-step-float"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"op":0', '"op":"0"'),
+                 id="register-op-string"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"proc":0', '"proc":false'),
+                 id="register-proc-bool"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE.replace('"arg":3', '"arg":"3"'),
+                 id="register-arg-string"),
+    pytest.param("atomic", REG_HEADER + "\n" + REG_WRITE + REG_READ.replace('"ret":3', '"ret":3.0'),
+                 id="register-ret-float"),
+    pytest.param("atomic", REG_HEADER.replace('"domain":4', '"domain":"4"') + "\n" + REG_WRITE,
+                 id="register-header-domain-string"),
+    pytest.param("cts", CTS_HEADER.replace('"n":1', '"n":1.0') + "\n" + CTS_LABELING,
+                 id="cts-header-n-float"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace('"arg":5', '"arg":"5"'),
+                 id="cts-labeling-arg-string"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace("[1,0]", "[1.0,0]"),
+                 id="cts-labeling-seq-float"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace("[1,0]", "[1,false]"),
+                 id="cts-labeling-pid-bool"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING + CTS_SCAN.replace("[[0,1,0,5]]", '[["0",1,0,5]]'),
+                 id="cts-scan-owner-string"),
+    pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING + CTS_SCAN.replace("[[0,1,0,5]]", "[[0,1,0,true]]"),
+                 id="cts-scan-payload-bool"),
 ])
 def test_check_malformed_trace_exit_two(tmp_path, capsys, level, text):
     path = tmp_path / "bad.jsonl"

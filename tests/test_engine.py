@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -290,6 +291,33 @@ def test_sim_choice_order_deterministic():
     spec = safe_bit()
     sim = _Sim(spec, [[("Write", 0)], [("Read", None)]])
     assert sim.choices() == [(0, None), (1, None)]
+
+
+def test_safe_branch_kept_lazy_in_flattened_order():
+    # Two readers of a safe register overlap its pending Write: the node's
+    # decisions are the writer's step, then each reader's whole domain.
+    spec = build_raw_register(2, domain=3, semantics=SemanticsLevel.SAFE)
+    sim = _Sim(spec, [[("Write", 2)], [("Read", None)], [("Read", None)]])
+    for proc in (0, 1, 2):  # invoke the Write, then both Reads
+        sim.apply(proc, None)
+    choices = sim.choices()
+    flat = [(0, None)] + [(1, v) for v in range(3)] + [(2, v) for v in range(3)]
+    assert len(choices) == 7 and list(choices) == flat
+    assert [choices[i] for i in range(7)] == flat
+    # Over tag-encoded registers the domain has 2^24 values, none listed.
+    spec = build_multiwriter(2)
+    spec = dataclasses.replace(spec, registers=tuple(
+        dataclasses.replace(r, semantics=SemanticsLevel.SAFE) for r in spec.registers))
+    sim = _Sim(spec, [[("Write", 1)], [("Read", None)]])
+    for proc, value in [(0, None), (0, spec.registers[0].init), (0, None),
+                        (0, spec.registers[1].init), (0, None), (1, None)]:
+        sim.apply(proc, value)  # proc 0's Write of r0 is pending; proc 1 reads r0
+    choices = sim.choices()
+    domain = spec.registers[0].domain
+    assert domain == 2**24 and len(choices) == 1 + domain
+    assert (choices[0], choices[1], choices[domain]) == ((0, None), (1, 0), (1, domain - 1))
+    with pytest.raises(IndexError):
+        choices[1 + domain]
 
 
 def recursive_enumeration(spec, workload, max_exec, max_steps, stop_after=None):

@@ -300,6 +300,17 @@ def test_parse_corrupt_line_rejected():
         parse_trace(text)
 
 
+def test_parse_error_names_physical_line():
+    # Blank lines count: the out-of-order step sits on line 5 of the file.
+    h = hist(w(0, 0, 1, 5))
+    lines = serialize_trace(h).strip().splitlines()
+    bad = lines[2].replace('"step":1', '"step":0')
+    with pytest.raises(TraceError, match="^line 5: step 0 not increasing"):
+        parse_trace("\n\n".join([lines[0], lines[1], bad]) + "\n")
+    with pytest.raises(TraceError, match="^line 5: malformed: step 1.0 is not an integer"):
+        parse_trace("\n" + "\n".join([lines[0], lines[1], "", lines[2].replace('"step":1', '"step":1.0')]))
+
+
 def test_parse_wrong_version_rejected():
     with pytest.raises(TraceError, match="version"):
         parse_trace('{"version":9,"vars":{}}\n')
