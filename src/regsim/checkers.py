@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .history import (
@@ -19,7 +20,8 @@ from .history import (
     OpKind,
     OpRecord,
     SemanticsLevel,
-    feasible_values,
+    read_values,
+    write_index,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Maximum ops per variable fed to the factorial oracle.
 BRUTE_FORCE_LIMIT = 8
+
+_end = attrgetter("end")
 
 #: Per-operation-kind cap on base-register accesses.
 StepBudget = Mapping[str, int]
@@ -63,22 +67,29 @@ def _require_single_writer(h: History, level: SemanticsLevel) -> None:
 def check_level(h: History, level: SemanticsLevel) -> Verdict:
     """Does the history conform to the given semantics level?
 
-    Safe and Regular are per-Read conditions on single-writer variables.
+    Safe and Regular are per-Read conditions on single-writer variables:
+    each variable's Writes are indexed once, and each Read bisects them for
+    its latest preceding and its overlapping Writes, O(n log n) in all.
     Atomic searches, per variable, for a total order of the operations that
     extends precedence and in which every Read returns the argument of the
     latest preceding Write (or the initial value); the search extends
     partial sequences only while the read-value constraints remain
     satisfiable.  It remembers failed (placed set, current value) states
     and runs on an explicit stack: at worst about 2^n * n states for n ops
-    on a variable rather than n! orders, and no depth limit.
+    on a variable rather than n! orders, and no depth limit.  Each node
+    scans only as far as the last op that starts before the lowest unplaced
+    op ends, so where few ops overlap a search that never backtracks costs
+    O(n log n).
     """
     if level is SemanticsLevel.ATOMIC:
         return _check_atomic(h)
     _require_single_writer(h, level)
+    vars = h.vars
+    writes = write_index(h)
     for r in h.ops:  # already sorted by start
-        if r.kind is not OpKind.READ or not r.completed:
+        if r.kind is not OpKind.READ or r.end is None:
             continue
-        allowed = feasible_values(h, r, level)
+        allowed = read_values(vars[r.var], writes.get(r.var), r, level)
         if r.ret not in allowed:
             return Verdict(
                 ok=False,
@@ -122,29 +133,47 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     failed (placed set, current value) state, so it visits at most about
     2^n * n states for n ops rather than n! orders, and has no depth limit.
     A failed state fails again wherever it recurs, at the same depth, so
-    skipping it changes neither the witness nor the blocking Read.
+    skipping it changes neither the witness nor the blocking Read.  A node
+    whose lowest unplaced op is ``low`` scans only ``ops[low:reach[low]]``:
+    an op beyond that starts after op ``low`` ends, so it cannot come next,
+    and skipping it changes nothing either.
     """
     spec = h.vars[var]
     read = OpKind.READ
-    ops = [
-        o for o in h.ops
-        if o.var == var and (o.end is not None or o.kind is not read)
-    ]
-    inf = float("inf")
-    ops.sort(key=lambda o: (o.end if o.end is not None else inf, o.start, o.op_id))
-    # Completed ops sort first: they are exactly ops[:need].
-    ends = [o.end for o in ops if o.end is not None]
-    need = len(ends)
+    # One pass over the start-sorted ops: completed ops, and pending Writes
+    # (already in start order, which is their candidate order).
+    ops: list[OpRecord] = []
+    pending: list[OpRecord] = []
+    for o in h.ops:
+        if o.var == var:
+            if o.end is not None:
+                ops.append(o)
+            elif o.kind is not read:
+                pending.append(o)
+    need = len(ops)
     if need == 0:
         return (), None
-    n = len(ops)
+    # Ends are distinct steps, so sorting by end alone is the (end, start,
+    # op_id) order; completed ops come first: they are exactly ops[:need].
+    ops.sort(key=_end)
+    ends = [o.end for o in ops]
+    ops += pending
     # Per op: pre, is-Read, value.  ops[:pre] are the ops that end before
     # this one starts, so it may come next once every op below pre is placed.
-    cands = [
-        (bisect_left(ends, o.start), True, o.ret) if o.kind is read
-        else (bisect_left(ends, o.start), False, o.arg)
-        for o in ops
-    ]
+    # reach[l] is one past the last op whose pre <= l: with ops below l
+    # placed, no op from reach[l] on may come next.
+    cands = []
+    reach = [0] * (need + 1)
+    for i, o in enumerate(ops, 1):
+        pre = bisect_left(ends, o.start)
+        reach[pre] = i
+        cands.append((pre, True, o.ret) if o.kind is read else (pre, False, o.arg))
+    top = 0
+    for k, r in enumerate(reach):  # running maximum, in place
+        if r > top:
+            top = r
+        else:
+            reach[k] = top
 
     failed: set[tuple[int, int]] = set()
     # One (placed mask, value, next candidate) frame per placed op.
@@ -159,8 +188,9 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
         if low >= need:
             return tuple(ops[f[2] - 1].op_id for f in stack), None
         # i is 0 on a new node, one past the last tried candidate on a
-        # resumed one; ops below low are all placed.
-        for i in range(i if i > low else low, n):
+        # resumed one; ops below low are all placed, ops from reach[low] on
+        # must wait for op low.
+        for i in range(i if i > low else low, reach[low]):
             pre, is_read, v = cands[i]
             if pre > low or mask >> i & 1:
                 continue

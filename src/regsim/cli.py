@@ -91,7 +91,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _make_execution_checker(sc: Scenario, level: str):
-    """Returns (check(execution) -> Verdict, serializer(execution) -> str)."""
+    """Returns check(execution) -> Verdict for the scenario at ``level``."""
     if level == "cts":
         if sc.construction != "cts":
             raise ScenarioError("--check cts requires the cts construction")

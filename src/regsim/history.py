@@ -15,6 +15,7 @@ extending to infinity for overlap purposes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Iterable, Mapping
@@ -115,14 +116,6 @@ def overlaps(a: OpRecord, b: OpRecord) -> bool:
     return not precedes(a, b) and not precedes(b, a)
 
 
-def _overlaps_open(a: OpRecord, b: OpRecord) -> bool:
-    # Pending intervals extend to infinity, so a pending op overlaps
-    # everything invoked at any later step.
-    a_end = a.end if a.end is not None else float("inf")
-    b_end = b.end if b.end is not None else float("inf")
-    return a.start < b_end and b.start < a_end
-
-
 @dataclass(frozen=True, slots=True)
 class History:
     """A set of operation executions over declared variables.
@@ -207,23 +200,54 @@ def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
     spec = h.vars[r.var]
     if len(spec.writers) > 1:
         raise HistoryError(f"var {r.var!r}: classification undefined, use Atomic")
-    latest_val = spec.init
-    latest_end = -1
-    overlapping: list[OpRecord] = []
+    return read_values(spec, write_index(h).get(r.var), r, level)
+
+
+def write_index(h: History) -> dict[str, tuple[list, list[int], list[int]]]:
+    """Per variable, its Writes' ends (a pending Write's is infinite),
+    starts and args, in start order: one pass over the history.
+
+    A single writer's Writes are totally ordered, so on a single-writer
+    variable the ends come out sorted as well as the starts.
+    """
+    inf = float("inf")
+    index: dict[str, tuple[list, list[int], list[int]]] = {}
     for w in h.ops:
-        if w.var != r.var or w.kind is not OpKind.WRITE:
-            continue
-        if w.end is not None and w.end < r.start:
-            if w.end > latest_end:
-                latest_end = w.end
-                latest_val = w.arg
-        elif _overlaps_open(w, r):
-            overlapping.append(w)
-    if not overlapping:
-        return {latest_val}
+        if w.kind is OpKind.WRITE:
+            lists = index.get(w.var)
+            if lists is None:
+                lists = index[w.var] = ([], [], [])
+            lists[0].append(w.end if w.end is not None else inf)
+            lists[1].append(w.start)
+            lists[2].append(w.arg)
+    return index
+
+
+def read_values(
+    spec: VarSpec,
+    writes: tuple[list, list[int], list[int]] | None,
+    r: OpRecord,
+    level: SemanticsLevel,
+) -> set[int]:
+    """:func:`feasible_values` of the completed Read ``r`` on a
+    single-writer variable, given that variable's :func:`write_index` entry
+    (None if it has no Writes): two bisections, O(log n).
+
+    The Writes that end before ``r`` starts are a prefix; the latest of them
+    is its last.  The Writes that start before ``r`` ends are a prefix at
+    least as long; the ones between the two prefixes overlap ``r``.
+    """
+    if writes is None:
+        return {spec.init}
+    ends, starts, args = writes
+    k = bisect_left(ends, r.start)
+    latest = args[k - 1] if k else spec.init
+    j = bisect_left(starts, r.end, k)
+    if j == k:
+        return {latest}
     if level is SemanticsLevel.SAFE:
         return set(range(spec.domain))
-    return {latest_val} | {w.arg for w in overlapping}
+    return {latest, *args[k:j]}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,19 @@ import itertools
 import random
 from typing import Iterator
 
-from regsim import History, OpKind, OpRecord, VarSpec
+from hypothesis import strategies as st
+
+from regsim import (
+    History,
+    OpKind,
+    OpRecord,
+    VarSpec,
+    build_multireader,
+    build_multiwriter,
+    extract_history,
+    random_execution,
+)
+from regsim.engine import _Sim
 
 
 def random_single_writer_history(rng: random.Random, max_ops: int = 6) -> History:
@@ -176,3 +188,101 @@ def contention_history(rng: random.Random, k: int) -> History:
                         start=2 * k + 2, end=2 * k + 3, ret=second))
     spec = VarSpec(domain=k + 1, init=0, writers=frozenset(range(k)), readers=frozenset({k}))
     return History(vars={"x": spec}, ops=tuple(ops))
+
+
+@st.composite
+def histories(draw, max_ops=24, max_domain=4, single_writer=False):
+    """Valid histories on one or two variables: 1-4 sequential processes,
+    each variable single-writer (process 0 writes, the others read) or, unless
+    ``single_writer``, written and read by everyone, each process's last op
+    pending with probability about one half, values from a small domain so
+    Write values repeat."""
+    n_procs = draw(st.integers(1, 4))
+    names = ("x", "y")[: draw(st.integers(1, 2))]
+    multi = {v: draw(st.booleans()) and not single_writer for v in names}
+    domain = draw(st.integers(2, max_domain))
+    drawn = draw(st.lists(
+        st.tuples(st.integers(0, n_procs - 1), st.sampled_from(names),
+                  st.booleans(), st.integers(0, domain - 1)),
+        max_size=max_ops,
+    ))
+    streams: dict[int, list[list]] = {}
+    for proc, var, is_write, value in drawn:
+        if not multi[var]:
+            is_write = proc == 0
+        streams.setdefault(proc, []).append([proc, var, is_write, value, None, None])
+    # Per process its ops' invoke (slot 4) and respond (slot 5) edges in
+    # order; a pending last op has no respond.
+    queues = {}
+    for proc, ops in streams.items():
+        last = ops[-1] if draw(st.booleans()) else None
+        queues[proc] = [(op, edge) for op in ops for edge in (4, 5)
+                        if edge == 4 or op is not last]
+    step = 0
+    while queues:
+        active = sorted(queues)
+        proc = active[draw(st.integers(0, len(active) - 1))]
+        op, edge = queues[proc].pop(0)
+        op[edge] = step
+        step += 1
+        if not queues[proc]:
+            del queues[proc]
+    everyone = frozenset(range(n_procs))
+    specs = {
+        v: VarSpec(domain=domain, init=0,
+                   writers=everyone if multi[v] else frozenset({0}),
+                   readers=everyone if multi[v] else everyone - {0})
+        for v in names
+    }
+    ops = []
+    for proc, var, is_write, value, start, end in (op for s in streams.values() for op in s):
+        ops.append(OpRecord(
+            op_id=len(ops), proc=proc, var=var,
+            kind=OpKind.WRITE if is_write else OpKind.READ, start=start, end=end,
+            arg=value if is_write else None,
+            ret=value if not is_write and end is not None else None,
+        ))
+    return History(vars=specs, ops=tuple(ops))
+
+
+def engine_history(construction: str, seed: int, cut: bool = False) -> History:
+    """A long high-level history of a random schedule of the n=3 engine
+    construction: ``"multiwriter"`` runs 40 ops per process, Writes and
+    Reads alternating; ``"multireader"`` 30 Writes and 30 Reads per reader.
+    Write values cycle through 1..3, so they repeat.  With ``cut`` the
+    schedule stops at a random decision in its second half, and the ops
+    it leaves open are pending."""
+    values = itertools.cycle((1, 2, 3))
+    if construction == "multiwriter":
+        spec = build_multiwriter(3)
+        workload = [[("Write", next(values)) if i % 2 == 0 else ("Read", None)
+                     for i in range(40)] for _ in range(3)]
+    else:
+        spec = build_multireader(3)
+        workload = [[("Write", next(values)) for _ in range(30)]]
+        workload += [[("Read", None)] * 30 for _ in range(3)]
+    execution = random_execution(spec, workload, seed)
+    if not cut:
+        return extract_history(execution)
+    # Replay a prefix of the schedule, at least half of it but not all, and
+    # add the ops it leaves open: their events carry the op id, and each is
+    # its process's next op in the workload.
+    decisions = execution.decisions
+    stop = random.Random(seed).randrange(len(decisions) // 2, len(decisions))
+    sim = _Sim(spec, workload)
+    for proc, value in decisions[:stop]:
+        sim.apply(proc, value)
+    execution = sim.snapshot()
+    h = extract_history(execution)
+    done = {o.op_id for o in execution.ops}
+    started: dict[int, tuple[int, int]] = {}
+    for step, proc, *_, op_id in execution.events:
+        if op_id not in done:
+            started.setdefault(op_id, (proc, step))
+    pending = []
+    for op_id, (proc, step) in started.items():
+        kind, arg = workload[proc][sum(o.proc == proc for o in execution.ops)]
+        pending.append(OpRecord(op_id, proc, spec.var_name,
+                                OpKind.WRITE if kind == "Write" else OpKind.READ, step,
+                                arg=arg))
+    return History(vars=h.vars, ops=h.ops + tuple(pending))
