@@ -28,6 +28,7 @@ from .engine import (
     Execution,
     enumerate_executions,
     extract_history,
+    max_accesses,
     random_execution,
 )
 from .history import HistoryError, SemanticsLevel, parse_trace, serialize_trace
@@ -133,13 +134,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     counts = {"pass": 0, "fail": 0}
     first_failure: dict | None = None
     counterexample: Execution | None = None
-    max_accesses: dict[str, int] = {}
+    accesses: dict[str, int] = {}
 
     def visit(execution: Execution) -> None:
         nonlocal first_failure, counterexample
-        for op in execution.ops:
-            if op.base_accesses > max_accesses.get(op.kind, -1):
-                max_accesses[op.kind] = op.base_accesses
+        max_accesses((execution,), accesses)
         verdict = check(execution)
         if verdict.ok:
             counts["pass"] += 1
@@ -166,7 +165,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "truncated": result.truncated,
         "truncated_by": list(result.truncated_by),
         "verdicts": {level: dict(counts)},
-        "max_accesses": max_accesses,
+        "max_accesses": accesses,
         "first_failure": first_failure,
         "counterexample": str(cx_path) if cx_path else None,
     }

@@ -95,6 +95,10 @@ class TagCodec:
         """``decode(raw).tag.seq``, without building the tag."""
         return raw // (self.n_pids * self.payload_domain)
 
+    def payload(self, raw: int) -> int:
+        """``decode(raw).val``, without building the tag."""
+        return raw % self.payload_domain
+
 
 def _max_tagged(codec: TagCodec, a: int, b: int) -> int:
     """The encoded value carrying the larger tag (payload ignored): ``raw //
@@ -265,12 +269,12 @@ class _MultiReaderProgram(StepProgram):
                 return ReadAction(self.sources[proc][k]), ("collect", k + 1, best)
             if self.writeback and self.n > 1:
                 return WriteAction(self.sinks[proc][0], best), ("announce", 1, best)
-            return ReturnAction(self.codec.decode(best).val, best), None
+            return ReturnAction(self.codec.payload(best), best), None
         # announce
         _, k, best = state
         if k < self.n - 1:
             return WriteAction(self.sinks[proc][k], best), ("announce", k + 1, best)
-        return ReturnAction(self.codec.decode(best).val, best), None
+        return ReturnAction(self.codec.payload(best), best), None
 
 
 def build_multireader(n: int, domain: int = 8, writeback: bool = True) -> ProtocolSpec:
@@ -355,7 +359,7 @@ class _MultiWriterProgram(StepProgram):
             best = result if best is None else _max_tagged(self.codec, best, result)
             if k < self.n:
                 return ReadAction(k), ("r", k + 1, best)
-            return ReturnAction(self.codec.decode(best).val, mem), None
+            return ReturnAction(self.codec.payload(best), mem), None
         # commit
         return ReturnAction(None, mem), None
 

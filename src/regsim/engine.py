@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -138,7 +138,13 @@ class ProtocolSpec:
 
 @dataclass(frozen=True, slots=True)
 class HLOp:
-    """One completed high-level operation in an execution."""
+    """One completed high-level operation in an execution.
+
+    ``record`` is the op's projection onto the implemented variable, built
+    once when the op finishes (None for protocols with no ``var_name``), so
+    every execution that shares the op shares it too.  It takes no part in
+    equality or repr.
+    """
 
     op_id: int
     proc: int
@@ -148,12 +154,16 @@ class HLOp:
     start: int
     end: int
     base_accesses: int
+    record: OpRecord | None = field(default=None, compare=False, repr=False)
 
 
 # Event tuples: (step, proc, etype, reg_index, rw, value, op_id)
 # etype: "bi" base invoke / "br" base respond / "ob" op begin / "oe" op end
 # (the latter two only for operations that perform no base access).
 Event = tuple[int, int, str, int | None, str | None, int | None, int]
+
+#: The operation kinds of a protocol that implements a register.
+_REGISTER_KINDS = frozenset({"Write", "Read"})
 
 #: One decision: (process, adversary_value_or_None).
 Decision = tuple[int, int | None]
@@ -226,11 +236,15 @@ class _Sim:
             raise EngineError(
                 f"workload lists {len(workload)} processes, protocol has {spec.n_processes}"
             )
+        var_name = spec.var_name
         for proc, ops in enumerate(workload):
             for kind, arg in ops:
                 if kind not in spec.budgets:
                     raise EngineError(f"proc {proc}: unknown operation kind {kind!r}")
+                if var_name is not None and kind not in _REGISTER_KINDS:
+                    raise EngineError(f"proc {proc}: {kind!r} is not a Read or Write of {var_name!r}")
         self.spec = spec
+        self.var_name = var_name
         self.workload = [list(ops) for ops in workload]
         self.program = spec.program
         self.regs = spec.registers
@@ -300,13 +314,14 @@ class _Sim:
 
     # -- event application --------------------------------------------------
 
-    def apply(self, proc: int, value: int | None):
-        """Perform one scheduler event for ``proc``; returns an undo token."""
+    def check(self, proc: int, value: int | None) -> None:
+        """Raise :class:`InvalidDecision` unless ``(proc, value)`` is one of
+        this node's :meth:`choices`."""
         p = self.procs[proc] if 0 <= proc < self.spec.n_processes else None
         if p is None or p[_P_PHASE] == _IDLE and p[_P_OPIDX] >= self.n_ops[proc]:
             raise InvalidDecision(f"process {proc} has no pending step")
-        phase, action = p[_P_PHASE], p[_P_ACTION]
-        if phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
+        action = p[_P_ACTION]
+        if p[_P_PHASE] == _MID and type(action) is ReadAction and self.weak[action.reg]:
             if value is None:
                 raise InvalidDecision(f"process {proc}: adversary value required")
             if value not in self.feasible(proc):
@@ -314,6 +329,12 @@ class _Sim:
         elif value is not None:
             raise InvalidDecision(f"process {proc}: unexpected adversary value")
 
+    def apply(self, proc: int, value: int | None):
+        """Perform one scheduler event for ``proc``; returns an undo token.
+        The decision must be one of :meth:`choices`: callers that did not
+        take it from there :meth:`check` it first."""
+        p = self.procs[proc]
+        phase, action = p[_P_PHASE], p[_P_ACTION]
         snap = tuple(p)
         step = self.step
         self.step += 1
@@ -409,9 +430,16 @@ class _Sim:
         return reg_undo
 
     def _finish_op(self, p: list, proc: int, action: ReturnAction, step: int) -> None:
-        # op_id, proc, kind, arg, ret, start, end, base_accesses
-        self.hlops.append(HLOp(p[_P_UID], proc, p[_P_KIND], p[_P_ARG], action.value,
-                               p[_P_FIRST], step, p[_P_ACC]))
+        uid, kind, arg, ret, start = p[_P_UID], p[_P_KIND], p[_P_ARG], action.value, p[_P_FIRST]
+        record = None
+        if self.var_name is not None:
+            # op_id, proc, var, kind, start, end, arg, ret
+            if kind == "Write":
+                record = OpRecord(uid, proc, self.var_name, OpKind.WRITE, start, step, arg, None)
+            else:
+                record = OpRecord(uid, proc, self.var_name, OpKind.READ, start, step, None, ret)
+        # op_id, proc, kind, arg, ret, start, end, base_accesses, record
+        self.hlops.append(HLOp(uid, proc, kind, arg, ret, start, step, p[_P_ACC], record))
         p[_P_MEM] = action.memory
         p[_P_OPIDX] += 1
         p[_P_PHASE] = _IDLE
@@ -452,6 +480,7 @@ def run_schedule(spec: ProtocolSpec, workload: Workload, decisions: Iterable[Dec
     impossible at its decision point or the sequence leaves work pending."""
     sim = _Sim(spec, workload)
     for proc, value in decisions:
+        sim.check(proc, value)
         sim.apply(proc, value)
     if sim.choices():
         raise InvalidDecision("decision sequence ends before the workload completes")
@@ -542,6 +571,7 @@ def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execu
         if not choices:
             return sim.snapshot()
         proc, value = choices[rng.randrange(len(choices))]
+        sim.check(proc, value)
         sim.apply(proc, value)
 
 
@@ -552,15 +582,15 @@ def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execu
 SCOPE_HIGH = "high"
 SCOPE_BASE = "base"
 
-_KIND_TO_OPKIND = {"Write": OpKind.WRITE, "Read": OpKind.READ}
-
 
 def extract_history(execution: Execution, scope: str = SCOPE_HIGH) -> History:
     """Project an execution onto a History.
 
     High-level scope yields one OpRecord per protocol operation on the
-    protocol's implemented variable; base-level scope yields one OpRecord
-    per base-register access, one variable per register.
+    protocol's implemented variable: the engine built each when its op
+    finished (``HLOp.record``), so executions that share an op share its
+    record.  Base-level scope yields one OpRecord per base-register access,
+    one variable per register, built here.
     """
     spec = execution.protocol
     if scope == SCOPE_HIGH:
@@ -569,14 +599,7 @@ def extract_history(execution: Execution, scope: str = SCOPE_HIGH) -> History:
                 f"protocol {spec.name!r} implements no register variable; "
                 "use its own history extraction"
             )
-        ops = []
-        for op in execution.ops:
-            kind = _KIND_TO_OPKIND[op.kind]
-            write = kind is OpKind.WRITE
-            # op_id, proc, var, kind, start, end, arg, ret
-            ops.append(OpRecord(op.op_id, op.proc, spec.var_name, kind, op.start, op.end,
-                                op.arg if write else None, None if write else op.ret))
-        return History(vars=spec._high_vars, ops=tuple(ops))
+        return History(vars=spec._high_vars, ops=tuple([op.record for op in execution.ops]))
     if scope != SCOPE_BASE:
         raise EngineError(f"unknown extraction scope {scope!r}")
     vars = {
@@ -610,9 +633,11 @@ def extract_history(execution: Execution, scope: str = SCOPE_HIGH) -> History:
     return History(vars=vars, ops=tuple(ops))
 
 
-def max_accesses(executions: Iterable[Execution]) -> dict[str, int]:
-    """Maximum observed base accesses per operation kind, across executions."""
-    out: dict[str, int] = {}
+def max_accesses(executions: Iterable[Execution], out: dict[str, int] | None = None) -> dict[str, int]:
+    """Maximum observed base accesses per operation kind, across executions,
+    folded into ``out`` (a running tally) when given."""
+    if out is None:
+        out = {}
     for e in executions:
         for op in e.ops:
             if op.base_accesses > out.get(op.kind, -1):

@@ -18,6 +18,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -71,22 +72,6 @@ class OpRecord:
     def completed(self) -> bool:
         return self.end is not None
 
-    def _validate(self) -> None:
-        if self.op_id < 0 or self.proc < 0 or self.start < 0:
-            raise HistoryError(f"op {self.op_id}: negative id, proc or step")
-        if self.end is not None and self.end <= self.start:
-            raise HistoryError(f"op {self.op_id}: end {self.end} not after start {self.start}")
-        if self.kind is OpKind.WRITE:
-            if self.arg is None:
-                raise HistoryError(f"op {self.op_id}: Write without arg")
-            if self.ret is not None:
-                raise HistoryError(f"op {self.op_id}: Write carries ret")
-        else:
-            if self.arg is not None:
-                raise HistoryError(f"op {self.op_id}: Read carries arg")
-            if (self.ret is not None) != self.completed:
-                raise HistoryError(f"op {self.op_id}: Read must carry ret iff completed")
-
 
 @dataclass(frozen=True, slots=True)
 class VarSpec:
@@ -102,6 +87,9 @@ class VarSpec:
             raise HistoryError(f"var {name}: domain {self.domain} < 2")
         if not 0 <= self.init < self.domain:
             raise HistoryError(f"var {name}: init {self.init} outside domain")
+
+
+_start = attrgetter("start")
 
 
 def precedes(a: OpRecord, b: OpRecord) -> bool:
@@ -128,7 +116,7 @@ class History:
     ops: tuple[OpRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=lambda o: o.start)))
+        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=_start)))
         object.__setattr__(self, "vars", dict(self.vars))
         self._validate()
 
@@ -143,24 +131,41 @@ class History:
         # variables that also puts all Writes in one total order.
         last: dict[int, OpRecord] = {}
         for op in self.ops:
-            op._validate()
-            op_id, proc, start, end = op.op_id, op.proc, op.start, op.end
+            op_id, proc, start, end, arg, ret = op.op_id, op.proc, op.start, op.end, op.arg, op.ret
+            # The op on its own: Writes carry arg and never ret; Reads carry
+            # ret exactly when completed.
+            if op_id < 0 or proc < 0 or start < 0:
+                raise HistoryError(f"op {op_id}: negative id, proc or step")
+            if end is not None and end <= start:
+                raise HistoryError(f"op {op_id}: end {end} not after start {start}")
+            write = op.kind is OpKind.WRITE
+            if write:
+                if arg is None:
+                    raise HistoryError(f"op {op_id}: Write without arg")
+                if ret is not None:
+                    raise HistoryError(f"op {op_id}: Write carries ret")
+            else:
+                if arg is not None:
+                    raise HistoryError(f"op {op_id}: Read carries arg")
+                if (ret is not None) != (end is not None):
+                    raise HistoryError(f"op {op_id}: Read must carry ret iff completed")
+            # The op within the history.
             if op_id in ids:
                 raise HistoryError(f"duplicate op id {op_id}")
             ids.add(op_id)
             spec = vars.get(op.var)
             if spec is None:
                 raise HistoryError(f"op {op_id}: undeclared variable {op.var!r}")
-            if op.kind is OpKind.WRITE:
+            if write:
                 if proc not in spec.writers:
                     raise HistoryError(f"op {op_id}: proc {proc} is not a writer of {op.var!r}")
-                if not 0 <= op.arg < spec.domain:
-                    raise HistoryError(f"op {op_id}: arg {op.arg} outside domain of {op.var!r}")
+                if not 0 <= arg < spec.domain:
+                    raise HistoryError(f"op {op_id}: arg {arg} outside domain of {op.var!r}")
             else:
                 if proc not in spec.readers:
                     raise HistoryError(f"op {op_id}: proc {proc} is not a reader of {op.var!r}")
-                if op.ret is not None and not 0 <= op.ret < spec.domain:
-                    raise HistoryError(f"op {op_id}: ret {op.ret} outside domain of {op.var!r}")
+                if ret is not None and not 0 <= ret < spec.domain:
+                    raise HistoryError(f"op {op_id}: ret {ret} outside domain of {op.var!r}")
             if start in steps:
                 raise HistoryError(f"duplicate step index {start}")
             steps.add(start)

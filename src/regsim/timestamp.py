@@ -13,6 +13,7 @@ ordering of scanned objects, and well-formed scan results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -32,6 +33,8 @@ from .history import HistoryError, SemanticsLevel, read_trace, trace_int, write_
 
 LABELING = "Labeling"
 SCAN = "Scan"
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -220,15 +223,25 @@ def check_cts(h: CtsHistory) -> Verdict:
     Labeling by p or q overlaps the Scan, the Scan lists p's object before
     q's, and (c) every Scan result is complete (one entry per process) and
     strictly ascending by tag.
+
+    Each process's Labelings are indexed once.  A process is sequential, so
+    their ends are sorted (a pending one's is infinite and last): per Scan,
+    one bisection finds the latest that precedes it, and the one after that
+    overlaps it iff it starts before the Scan ends.
     """
-    labelings = [o for o in h.ops if o.kind == LABELING]
+    # Per process, in order of its first Labeling: its Labelings and their
+    # ends, both in start order.
+    index: dict[int, tuple[list[CtsOp], list]] = {}
+    for op in h.ops:
+        if op.kind == LABELING:
+            ops, ends = index.setdefault(op.proc, ([], []))
+            ops.append(op)
+            ends.append(_INF if op.end is None else op.end)
     # (a) per-process label monotonicity
-    per_proc: dict[int, list[CtsOp]] = {}
-    for op in labelings:
-        if op.completed:
-            per_proc.setdefault(op.proc, []).append(op)
-    for proc, ops in per_proc.items():
-        for a, b in zip(ops, ops[1:]):  # start-ordered
+    for proc, (ops, _) in index.items():
+        for a, b in zip(ops, ops[1:]):
+            if b.end is None:  # pending, so its process's last
+                break
             if not tag_less(a.label, b.label):
                 return Verdict(
                     ok=False, violating_op=b.op_id,
@@ -252,24 +265,17 @@ def check_cts(h: CtsHistory) -> Verdict:
                 ok=False, violating_op=scan.op_id,
                 reason=f"Scan {scan.op_id} result is not in ascending label order",
             )
-        # (b) precedence consistency
+        # (b) precedence consistency, over the processes whose latest
+        # Labeling before the Scan no other of theirs follows into it
         rank = {e.owner: i for i, e in enumerate(scan.result)}
-        latest: dict[int, CtsOp] = {}
-        disturbed: set[int] = set()
-        for op in labelings:
-            if op.end is not None and op.end < scan.start:
-                cur = latest.get(op.proc)
-                if cur is None or cur.end < op.end:
-                    latest[op.proc] = op
-            elif op.start < scan.end:  # overlaps the scan
-                disturbed.add(op.proc)
-        for p, lp in latest.items():
-            if p in disturbed:
-                continue
-            for q, lq in latest.items():
-                if q == p or q in disturbed:
-                    continue
-                if lp.end < lq.start and rank[p] > rank[q]:
+        latest: list[tuple[int, CtsOp]] = []
+        for p, (ops, ends) in index.items():
+            k = bisect_left(ends, scan.start)
+            if k and (k == len(ops) or ops[k].start >= scan.end):
+                latest.append((p, ops[k - 1]))
+        for p, lp in latest:
+            for q, lq in latest:
+                if q != p and lp.end < lq.start and rank[p] > rank[q]:
                     return Verdict(
                         ok=False, violating_op=scan.op_id,
                         reason=(

@@ -6,12 +6,31 @@ per-process overlap check moved into the loop over ops and the 1-writer
 the differential tests can require the one-pass validation to accept and
 reject the same histories, with the same message wherever a history has a
 single fault.  ``self`` is anything with the ``vars`` mapping and the
-start-sorted ``ops`` tuple of a History.
+start-sorted ``ops`` tuple of a History.  ``validate_op`` is the body of
+the ``OpRecord._validate`` it called, kept verbatim since that check was
+folded into the one-pass loop.
 """
 
 from __future__ import annotations
 
 from regsim import HistoryError, OpKind, OpRecord
+
+
+def validate_op(self: OpRecord) -> None:
+    if self.op_id < 0 or self.proc < 0 or self.start < 0:
+        raise HistoryError(f"op {self.op_id}: negative id, proc or step")
+    if self.end is not None and self.end <= self.start:
+        raise HistoryError(f"op {self.op_id}: end {self.end} not after start {self.start}")
+    if self.kind is OpKind.WRITE:
+        if self.arg is None:
+            raise HistoryError(f"op {self.op_id}: Write without arg")
+        if self.ret is not None:
+            raise HistoryError(f"op {self.op_id}: Write carries ret")
+    else:
+        if self.arg is not None:
+            raise HistoryError(f"op {self.op_id}: Read carries arg")
+        if (self.ret is not None) != self.completed:
+            raise HistoryError(f"op {self.op_id}: Read must carry ret iff completed")
 
 
 def validate(self) -> None:
@@ -21,7 +40,7 @@ def validate(self) -> None:
     per_proc: dict[int, list[OpRecord]] = {}
     ids: set[int] = set()
     for op in self.ops:
-        op._validate()
+        validate_op(op)
         if op.op_id in ids:
             raise HistoryError(f"duplicate op id {op.op_id}")
         ids.add(op.op_id)

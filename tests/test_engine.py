@@ -79,6 +79,17 @@ def test_invalid_decisions_rejected():
         run_schedule(safe, wl2, [(0, None), (1, None), (1, None), (0, None)])
 
 
+def test_run_schedule_rejects_value_outside_regular_set():
+    # The Read overlaps no Write, so a regular base register must return
+    # the initial value; any other, inside the domain, is refused.
+    spec = build_raw_register(1, domain=3, semantics=SemanticsLevel.REGULAR)
+    wl = [[("Write", 2)], [("Read", None)]]
+    with pytest.raises(InvalidDecision, match="value 1 not feasible"):
+        run_schedule(spec, wl, [(1, None), (1, 1), (0, None), (0, None)])
+    e = run_schedule(spec, wl, [(1, None), (1, 0), (0, None), (0, None)])
+    assert [op.ret for op in e.ops] == [0, None]
+
+
 def test_workload_validation():
     spec = atomic_bit()
     with pytest.raises(EngineError, match="workload lists"):
@@ -277,6 +288,15 @@ def test_max_accesses_aggregation():
         spec, [[("Write", 1)], [("Read", None)]], {"max_executions": 50}
     )
     assert max_accesses(res.executions) == {"Write": 3, "Read": 2}
+
+
+def test_max_accesses_folds_into_a_running_tally():
+    spec = build_multiwriter(2)
+    res = enumerate_executions(spec, [[("Write", 1)], [("Read", None)]], {"max_executions": 50})
+    tally: dict[str, int] = {}
+    for e in res.executions:
+        assert max_accesses((e,), tally) is tally
+    assert tally == max_accesses(res.executions) == {"Write": 3, "Read": 2}
 
 
 def test_decision_log_replays_to_same_execution():

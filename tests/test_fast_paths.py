@@ -4,8 +4,8 @@
   is the two-pass body it replaced, kept verbatim: both must accept and
   reject the same op sets, and name the same fault in a valid history
   given exactly one fault.
-* Tags compare as encoded integers: ``_max_tagged`` and ``TagCodec.seq``
-  against ``tag_less`` and ``decode``.
+* Tags compare as encoded integers: ``_max_tagged``, ``TagCodec.seq`` and
+  ``TagCodec.payload`` against ``tag_less`` and ``decode``.
 * The engine's decision surface: SHA-256 digests, computed with the engine
   before these fast paths, of whole enumerations (every execution's
   events, ops and decisions, in visit order) and of seeded random
@@ -239,6 +239,14 @@ def test_integer_tag_order_matches_tag_less(drawn):
     old = b if tag_less(codec.decode(a).tag, codec.decode(b).tag) else a
     assert _max_tagged(codec, a, b) == old
     assert codec.seq(a) == codec.decode(a).tag.seq
+
+
+@PINNED
+@given(codecs_and_values())
+def test_payload_matches_decode(drawn):
+    codec, a, b = drawn
+    assert codec.payload(a) == codec.decode(a).val
+    assert codec.payload(b) == codec.decode(b).val
 
 
 # -- Engine digests -------------------------------------------------------------

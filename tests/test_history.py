@@ -115,11 +115,11 @@ def test_value_outside_domain_rejected():
 
 def test_write_needs_arg_read_needs_ret_iff_completed():
     with pytest.raises(HistoryError, match="Write without arg"):
-        OpRecord(op_id=0, proc=0, var="x", kind=OpKind.WRITE, start=0, end=1)._validate()
+        hist(OpRecord(op_id=0, proc=0, var="x", kind=OpKind.WRITE, start=0, end=1))
     with pytest.raises(HistoryError, match="ret iff completed"):
-        OpRecord(op_id=0, proc=0, var="x", kind=OpKind.READ, start=0, end=1)._validate()
+        hist(OpRecord(op_id=0, proc=0, var="x", kind=OpKind.READ, start=0, end=1))
     with pytest.raises(HistoryError, match="ret iff completed"):
-        OpRecord(op_id=0, proc=0, var="x", kind=OpKind.READ, start=0, ret=3)._validate()
+        hist(OpRecord(op_id=0, proc=0, var="x", kind=OpKind.READ, start=0, ret=3))
 
 
 def test_domain_below_two_rejected():
