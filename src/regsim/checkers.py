@@ -21,6 +21,7 @@ from .history import (
     OpRecord,
     SemanticsLevel,
     read_values,
+    slot_init,
     write_index,
 )
 
@@ -36,7 +37,8 @@ _end = attrgetter("end")
 StepBudget = Mapping[str, int]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of a check: pass/fail plus a machine-usable witness.
 
@@ -53,6 +55,10 @@ class Verdict:
     def __post_init__(self) -> None:
         if not self.ok and (self.violating_op is None or self.reason is None):
             raise ValueError("failing verdict requires a witness")
+
+
+#: The verdict of every passing check that carries no witness.
+PASS = Verdict(ok=True)
 
 
 def _require_single_writer(h: History, level: SemanticsLevel) -> None:
@@ -99,7 +105,7 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
                     f"{level.name.lower()} semantics allows {sorted(allowed)}"
                 ),
             )
-    return Verdict(ok=True)
+    return PASS
 
 
 def _check_atomic(h: History) -> Verdict:
@@ -307,4 +313,4 @@ def check_wait_free(execution: "Execution", budget: StepBudget) -> Verdict:
                     f"{op.base_accesses} base accesses, budget {budget[op.kind]}"
                 ),
             )
-    return Verdict(ok=True)
+    return PASS

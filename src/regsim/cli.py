@@ -26,6 +26,7 @@ from .checkers import Verdict, check_level, classify
 from .engine import (
     EngineError,
     Execution,
+    ProtocolSpec,
     enumerate_executions,
     extract_history,
     max_accesses,
@@ -91,8 +92,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _make_execution_checker(sc: Scenario, level: str):
-    """Returns check(execution) -> Verdict for the scenario at ``level``."""
+def _make_execution_checker(sc: Scenario, spec: ProtocolSpec, level: str):
+    """Returns check(execution) -> Verdict for the scenario at ``level``.
+    Safe and regular are per-Read conditions defined for one writer only,
+    so a multi-writer construction is refused at those levels here rather
+    than by the checker at the first execution."""
     if level == "cts":
         if sc.construction != "cts":
             raise ScenarioError("--check cts requires the cts construction")
@@ -104,6 +108,11 @@ def _make_execution_checker(sc: Scenario, level: str):
         if sc.construction == "cts":
             raise ScenarioError("the cts construction is checked with --check cts")
         sem = SemanticsLevel.parse(level)
+        if sem is not SemanticsLevel.ATOMIC and len(spec.writers) > 1:
+            raise ScenarioError(
+                f"{level} classification is undefined on the multi-writer "
+                f"{sc.construction} construction; use --check atomic"
+            )
 
         def check(execution: Execution) -> Verdict:
             return check_level(extract_history(execution, "high"), sem)
@@ -120,7 +129,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if sc.mode != "enumerate":
             raise ScenarioError("enumerate command needs a scenario with mode 'enumerate'")
         level = args.check or ("cts" if sc.construction == "cts" else "atomic")
-        check = _make_execution_checker(sc, level)
+        check = _make_execution_checker(sc, spec, level)
     except (ScenarioError, HistoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

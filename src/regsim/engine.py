@@ -26,10 +26,10 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
-from .history import History, OpKind, OpRecord, SemanticsLevel, VarSpec
+from .history import History, OpKind, OpRecord, SemanticsLevel, VarSpec, slot_init
 
 
 class EngineError(RuntimeError):
@@ -109,7 +109,10 @@ class ProtocolSpec:
     ``var_name`` names the implemented high-level variable for register
     protocols (None for timestamp systems, which have no single variable).
     ``budgets`` declares the wait-freedom contract: exact worst-case base
-    accesses per operation kind.
+    accesses per operation kind.  ``record_op(op_id, proc, kind, arg, ret,
+    start, end)`` builds a finished operation's history record for a
+    protocol with no ``var_name``; a register protocol's records are
+    OpRecords on ``var_name``.
     """
 
     name: str
@@ -122,6 +125,7 @@ class ProtocolSpec:
     init: int
     writers: frozenset[int]
     readers: frozenset[int]
+    record_op: Callable[[int, int, str, int | None, object, int, int], object] | None = None
 
     def __post_init__(self) -> None:
         if self.n_processes < 1:
@@ -136,14 +140,24 @@ class ProtocolSpec:
         return {self.var_name: VarSpec(self.domain, self.init, self.writers, self.readers)}
 
 
+def _register_record(var: str, op_id: int, proc: int, kind: str, arg: int | None,
+                     ret: object, start: int, end: int) -> OpRecord:
+    """A finished register operation's record on the implemented variable."""
+    # op_id, proc, var, kind, start, end, arg, ret
+    if kind == "Write":
+        return OpRecord(op_id, proc, var, OpKind.WRITE, start, end, arg, None)
+    return OpRecord(op_id, proc, var, OpKind.READ, start, end, None, ret)
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HLOp:
     """One completed high-level operation in an execution.
 
-    ``record`` is the op's projection onto the implemented variable, built
-    once when the op finishes (None for protocols with no ``var_name``), so
-    every execution that shares the op shares it too.  It takes no part in
-    equality or repr.
+    ``record`` is the op's history record (an OpRecord on the implemented
+    variable, or what the protocol's ``record_op`` builds), made once when
+    the op finishes, so every execution that shares the op shares it too.
+    It takes no part in equality or repr.
     """
 
     op_id: int
@@ -154,7 +168,7 @@ class HLOp:
     start: int
     end: int
     base_accesses: int
-    record: OpRecord | None = field(default=None, compare=False, repr=False)
+    record: object = field(default=None, compare=False, repr=False)
 
 
 # Event tuples: (step, proc, etype, reg_index, rw, value, op_id)
@@ -171,6 +185,7 @@ Decision = tuple[int, int | None]
 Workload = Sequence[Sequence[tuple[str, int | None]]]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Execution:
     """One fully resolved run: event log, completed operations, decisions."""
@@ -244,7 +259,7 @@ class _Sim:
                 if var_name is not None and kind not in _REGISTER_KINDS:
                     raise EngineError(f"proc {proc}: {kind!r} is not a Read or Write of {var_name!r}")
         self.spec = spec
-        self.var_name = var_name
+        self.record_op = spec.record_op if var_name is None else partial(_register_record, var_name)
         self.workload = [list(ops) for ops in workload]
         self.program = spec.program
         self.regs = spec.registers
@@ -431,13 +446,8 @@ class _Sim:
 
     def _finish_op(self, p: list, proc: int, action: ReturnAction, step: int) -> None:
         uid, kind, arg, ret, start = p[_P_UID], p[_P_KIND], p[_P_ARG], action.value, p[_P_FIRST]
-        record = None
-        if self.var_name is not None:
-            # op_id, proc, var, kind, start, end, arg, ret
-            if kind == "Write":
-                record = OpRecord(uid, proc, self.var_name, OpKind.WRITE, start, step, arg, None)
-            else:
-                record = OpRecord(uid, proc, self.var_name, OpKind.READ, start, step, None, ret)
+        record_op = self.record_op
+        record = None if record_op is None else record_op(uid, proc, kind, arg, ret, start, step)
         # op_id, proc, kind, arg, ret, start, end, base_accesses, record
         self.hlops.append(HLOp(uid, proc, kind, arg, ret, start, step, p[_P_ACC], record))
         p[_P_MEM] = action.memory
@@ -516,12 +526,13 @@ def enumerate_executions(
     cut_executions = cut_steps = False
     collected: list[Execution] = []
     sim = _Sim(spec, workload)
+    apply, undo, choices_of = sim.apply, sim.undo, sim.choices
 
-    # One (iterator over the node's choices, undo token of the applied one)
-    # frame per node on the current branch, so the depth is bounded by
-    # max_steps rather than by Python's recursion limit.
-    stack: list[tuple[Iterator[Decision], object]] = []
-    choices = sim.choices()
+    # One [iterator over the node's remaining choices, undo token of the
+    # applied one] frame per node on the current branch, so the depth is
+    # bounded by max_steps rather than by Python's recursion limit.
+    stack: list[list] = []
+    choices = choices_of()
     while True:
         if not choices:
             if result.count >= max_exec:
@@ -537,19 +548,24 @@ def enumerate_executions(
         elif sim.step >= max_steps:
             cut_steps = True  # cut this branch, keep exploring siblings
         else:
-            stack.append((iter(choices), None))
-        # Step to the next unexplored child, backtracking past exhausted nodes.
+            # Descend into the node's first child.
+            rest = iter(choices)
+            stack.append([rest, apply(*next(rest))])
+            choices = choices_of()
+            continue
+        # Step to the next unexplored sibling, backtracking past exhausted
+        # nodes.
         while stack:
-            rest, token = stack.pop()
-            if token is not None:
-                sim.undo(token)
-            decision = next(rest, None)
+            frame = stack[-1]
+            undo(frame[1])
+            decision = next(frame[0], None)
             if decision is not None:
-                stack.append((rest, sim.apply(*decision)))
+                frame[1] = apply(*decision)
                 break
+            stack.pop()
         else:
             break
-        choices = sim.choices()
+        choices = choices_of()
 
     result.truncated_by = tuple(
         name for name, cut in (("max_executions", cut_executions), ("max_steps", cut_steps)) if cut
@@ -563,16 +579,15 @@ def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execu
     """One execution with all decisions drawn from ``random.Random(seed)``
     (CPython's Mersenne Twister): at every decision point one entry of the
     flattened, deterministically ordered (process, value) choice list is
-    picked uniformly.  Identical seeds give identical executions."""
+    picked uniformly, so it needs no :meth:`_Sim.check`.  Identical seeds
+    give identical executions."""
     rng = random.Random(seed)
     sim = _Sim(spec, workload)
     while True:
         choices = sim.choices()
         if not choices:
             return sim.snapshot()
-        proc, value = choices[rng.randrange(len(choices))]
-        sim.check(proc, value)
-        sim.apply(proc, value)
+        sim.apply(*choices[rng.randrange(len(choices))])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .checkers import Verdict
+from .checkers import PASS, Verdict
 from .constructions import Tag, TagCodec, tag_less
 from .engine import (
     BaseRegisterSpec,
@@ -29,7 +29,7 @@ from .engine import (
     StepProgram,
     WriteAction,
 )
-from .history import HistoryError, SemanticsLevel, read_trace, trace_int, write_trace
+from .history import HistoryError, SemanticsLevel, read_trace, slot_init, trace_int, write_trace
 
 LABELING = "Labeling"
 SCAN = "Scan"
@@ -37,14 +37,16 @@ SCAN = "Scan"
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Label:
     """A timestamp: the tag a Labeling assigned to its owner's object."""
 
     tag: Tag
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class LabeledObject:
     owner: int
     label: Label
@@ -145,6 +147,7 @@ def build_cts(n: int, domain: int = 8) -> ProtocolSpec:
         init=0,
         writers=everyone,
         readers=everyone,
+        record_op=_cts_record,
     )
 
 
@@ -153,7 +156,8 @@ def build_cts(n: int, domain: int = 8) -> ProtocolSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class CtsOp:
     """One Labeling or Scan execution.
 
@@ -175,7 +179,8 @@ class CtsOp:
         return self.end is not None
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class CtsHistory:
     n: int
     ops: tuple[CtsOp, ...] = ()
@@ -283,32 +288,32 @@ def check_cts(h: CtsHistory) -> Verdict:
                             f"Labeling {lp.op_id} preceded Labeling {lq.op_id}"
                         ),
                     )
-    return Verdict(ok=True)
+    return PASS
+
+
+def _cts_record(op_id: int, proc: int, kind: str, arg: int | None, ret: tuple,
+                start: int, end: int) -> CtsOp:
+    """A finished Labeling's or Scan's record, from its return value: the
+    assigned (seq, pid), or the scanned (owner, seq, pid, payload) entries
+    in temporal order.  The engine builds it once per op (``record_op``)."""
+    # op_id, proc, kind, start, end, payload, label, result
+    if kind == LABELING:
+        return CtsOp(op_id, proc, LABELING, start, end, arg, Tag(*ret))
+    return CtsOp(op_id, proc, SCAN, start, end, None, None, tuple(
+        [LabeledObject(o, Label(Tag(seq, pid)), val) for o, seq, pid, val in ret]))
 
 
 def extract_cts_history(execution: Execution) -> CtsHistory:
-    """Project a cts execution onto a CtsHistory."""
+    """Project a cts execution onto a CtsHistory.
+
+    The engine built each op's CtsOp when the op finished (``HLOp.record``,
+    from the protocol's ``record_op``), so executions that share an op
+    share its record, and this only gathers and validates them.
+    """
     spec = execution.protocol
-    if LABELING not in spec.budgets:
+    if LABELING not in spec.budgets or spec.record_op is None:
         raise EngineError(f"protocol {spec.name!r} is not a timestamp system")
-    ops = []
-    for op in execution.ops:
-        if op.kind == LABELING:
-            ops.append(
-                CtsOp(op_id=op.op_id, proc=op.proc, kind=LABELING,
-                      start=op.start, end=op.end, payload=op.arg,
-                      label=Tag(*op.ret))
-            )
-        else:
-            result = tuple(
-                LabeledObject(owner=o, label=Label(Tag(seq, pid)), payload=val)
-                for o, seq, pid, val in op.ret
-            )
-            ops.append(
-                CtsOp(op_id=op.op_id, proc=op.proc, kind=SCAN,
-                      start=op.start, end=op.end, result=result)
-            )
-    return CtsHistory(n=spec.n_processes, ops=tuple(ops))
+    return CtsHistory(spec.n_processes, tuple([op.record for op in execution.ops]))
 
 
 # ---------------------------------------------------------------------------

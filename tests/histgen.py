@@ -143,21 +143,23 @@ def corpus_histories(max_ops: int = 5, domain: int = 3) -> Iterator[History]:
     over the domain, one per equivalence class (see module docstring)."""
     for k in range(max_ops + 1):
         everyone = frozenset(range(max(k, 1)))
-        vs = VarSpec(domain=domain, init=0, writers=everyone, readers=everyone)
+        vars = {"x": VarSpec(domain=domain, init=0, writers=everyone, readers=everyone)}
         cvals = canonical_value_tuples(k, domain)
         for ivs in precedence_structures(k):
             for kinds in itertools.product((OpKind.WRITE, OpKind.READ), repeat=k):
+                # Op i's record for each value, built once and shared by
+                # every history with this layout and these kinds.
+                records = [
+                    [OpRecord(
+                        op_id=i, proc=i, var="x", kind=kinds[i],
+                        start=ivs[i][0], end=ivs[i][1],
+                        arg=v if kinds[i] is OpKind.WRITE else None,
+                        ret=v if kinds[i] is OpKind.READ else None,
+                    ) for v in range(domain)]
+                    for i in range(k)
+                ]
                 for vals in cvals:
-                    ops = tuple(
-                        OpRecord(
-                            op_id=i, proc=i, var="x", kind=kinds[i],
-                            start=ivs[i][0], end=ivs[i][1],
-                            arg=vals[i] if kinds[i] is OpKind.WRITE else None,
-                            ret=vals[i] if kinds[i] is OpKind.READ else None,
-                        )
-                        for i in range(k)
-                    )
-                    yield History(vars={"x": vs}, ops=ops)
+                    yield History(vars=vars, ops=tuple(map(list.__getitem__, records, vals)))
 
 
 def corpus_size(max_ops: int = 5, domain: int = 3) -> int:

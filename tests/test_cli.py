@@ -239,6 +239,20 @@ def test_enumerate_level_mismatch_exit_two(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("base_semantics", ["atomic", "regular"])
+@pytest.mark.parametrize("level", ["safe", "regular"])
+def test_enumerate_multiwriter_below_atomic_exit_two(tmp_path, capsys, base_semantics, level):
+    # Safe and regular are defined for one writer only: refused before the
+    # walk, with one error line and no report.
+    cfg = write_config(tmp_path, base_semantics=base_semantics)
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", cfg, "--check", level, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {level} classification is undefined on the multi-writer multiwriter "
+        "construction; use --check atomic\n")
+    assert not out.exists()
+
+
 def test_enumerate_requires_enumerate_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, mode="random")
     assert main(["enumerate", "--config", cfg, "--out", str(tmp_path)]) == 2

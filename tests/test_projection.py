@@ -1,11 +1,12 @@
 """High-level projection from records built once per finished op, against
-the per-leaf conversion loop it replaced.
+the per-leaf conversion loops it replaced.
 
 ``extract_loop.extract_high`` rebuilds every op's ``OpRecord`` from the
 ``HLOp`` on each call, as ``extract_history`` did before the engine built
-the record when the op finished.  Both must give equal Histories on every
-execution: of whole enumerations, of cut-short ones, of executions kept
-past the end of the walk, and of seeded random runs.
+the record when the op finished, and ``extract_loop.extract_cts`` every
+``CtsOp``, as ``extract_cts_history`` did.  Each pair must give equal
+histories on every execution: of whole enumerations, of cut-short ones, of
+executions kept past the end of the walk, and of seeded random runs.
 """
 
 import dataclasses
@@ -13,16 +14,21 @@ import dataclasses
 import pytest
 
 from regsim import (
+    CtsOp,
+    OpRecord,
     SemanticsLevel,
+    build_cts,
     build_multiwriter,
     build_raw_register,
     enumerate_executions,
+    extract_cts_history,
     extract_history,
     random_execution,
 )
-from regsim.engine import EngineError, ReadAction, ReturnAction, StepProgram, WriteAction
+from regsim.engine import EngineError, ReadAction, ReturnAction, StepProgram, WriteAction, _Sim
+from regsim.timestamp import LABELING, SCAN
 
-from extract_loop import extract_high
+from extract_loop import extract_cts, extract_high
 from test_fast_paths import RANDOM, TREES
 
 
@@ -32,9 +38,15 @@ def assert_same_projection(e):
             extract_history(e)
         with pytest.raises(EngineError, match="no register variable"):
             extract_high(e)
-        assert all(op.record is None for op in e.ops)
+        assert all(type(op.record) is CtsOp for op in e.ops)
+        assert extract_cts_history(e) == extract_cts(e)
     else:
+        assert all(type(op.record) is OpRecord for op in e.ops)
         assert extract_history(e) == extract_high(e)
+        with pytest.raises(EngineError, match="not a timestamp system"):
+            extract_cts_history(e)
+        with pytest.raises(EngineError, match="not a timestamp system"):
+            extract_cts(e)
 
 
 @pytest.mark.parametrize("name", TREES)
@@ -80,7 +92,62 @@ def test_truncated_enumeration_projects_alike(limits, cut_by):
     assert res.count and res.truncated_by == cut_by
 
 
-@pytest.mark.parametrize("name", ["multiwriter", "raw_safe"])
+class RescanProgram(StepProgram):
+    """The cts program, but a Scan whose collect saw a Labeling's tag reads
+    register 0 once more before it returns, so that executions differ in
+    length and ``max_steps`` cuts only some."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def begin(self, proc, mem, kind, arg):
+        return self.inner.begin(proc, mem, kind, arg)
+
+    def resume(self, proc, mem, state, result):
+        if state[0] == "again":
+            return state[1], None
+        action, nxt = self.inner.resume(proc, mem, state, result)
+        if state[0] == "s" and type(action) is ReturnAction and any(e[1] for e in action.value):
+            return ReadAction(0), ("again", action)
+        return action, nxt
+
+
+@pytest.mark.parametrize("limits, cut_by", [
+    ({"max_steps": 15}, ("max_steps",)),
+    ({"max_executions": 100}, ("max_executions",)),
+])
+def test_truncated_cts_enumeration_projects_alike(limits, cut_by):
+    cts = build_cts(2)
+    spec = dataclasses.replace(cts, program=RescanProgram(cts.program),
+                               budgets={LABELING: 3, SCAN: 3})
+    workload = [[("Labeling", 2)], [("Scan", None), ("Scan", None)]]
+    lengths = set()
+
+    def visit(e):
+        lengths.add(len(e.events))
+        assert_same_projection(e)
+
+    res = enumerate_executions(spec, workload, limits, visit=visit)
+    assert res.count and res.truncated_by == cut_by
+    if "max_steps" in limits:
+        assert lengths == {14}
+
+
+@pytest.mark.parametrize("name", ["cts", "multiwriter"])
+def test_runs_cut_short_project_alike(name):
+    # Every prefix of a random schedule: the snapshot holds only the ops
+    # finished so far.
+    build, workload, _ = RANDOM[name]
+    spec = build()
+    for seed in range(3):
+        decisions = random_execution(spec, workload, seed).decisions
+        sim = _Sim(spec, workload)
+        for proc, value in decisions:
+            sim.apply(proc, value)
+            assert_same_projection(sim.snapshot())
+
+
+@pytest.mark.parametrize("name", ["multiwriter", "raw_safe", "cts"])
 def test_collected_executions_project_alike_after_the_walk(name):
     # With no visitor the executions outlive the undo of every event that
     # built them; executions below one node share that node's ops, and
@@ -101,6 +168,15 @@ def test_records_take_no_part_in_equality_or_repr():
     bare = dataclasses.replace(op, record=None)
     assert op.record is not None and bare == op and hash(bare) == hash(op)
     assert repr(bare) == repr(op) and "record" not in repr(op)
+
+
+def test_cts_projection_needs_the_protocols_records():
+    build, workload, _ = RANDOM["cts"]
+    spec = dataclasses.replace(build(), record_op=None)
+    e = random_execution(spec, workload, 0)
+    assert all(op.record is None for op in e.ops)
+    with pytest.raises(EngineError, match="'cts' is not a timestamp system"):
+        extract_cts_history(e)
 
 
 def test_register_protocol_takes_only_reads_and_writes():
