@@ -17,6 +17,7 @@ that re-fail under ``regsim check`` at the same level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -222,7 +223,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later :func:`main` call in the process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="regsim",
         description="Simulate wait-free register protocols and check histories.",

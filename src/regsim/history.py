@@ -18,7 +18,7 @@ import json
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum, IntEnum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -296,26 +296,51 @@ def read_values(
 # Register events add "var" and "kind" ("R"|"W"); Write invokes carry "arg",
 # completed Read responds "ret".  Unknown header keys (e.g. a "decisions"
 # extension) are ignored on parse.
+#
+# Lines are written in canonical form: keys sorted, no spaces, ASCII only.
+# Each format renders its event lines directly in that form, integers by
+# repr (so a record's integer fields must be ints: a bool would come out as
+# True) and strings and nested values through the one shared encoder, so a
+# line builds no dict and no encoder.  Each line is read by one raw_decode;
+# a line that is not exactly one JSON value goes to json.loads, so results
+# and errors are json.loads's.
 # ---------------------------------------------------------------------------
 
 TRACE_VERSION = 1
 
+#: The canonical encoder, as ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))`` without building an encoder per call.
+encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
+_step = itemgetter(0)
 
-def write_trace(header: Mapping[str, object], ops: Iterable, keys: Callable) -> str:
-    """Render ops (anything with ``op_id``, ``proc``, ``start``, ``end``) as
-    a trace under ``header``.  ``keys(op, respond)`` returns the
-    kind-specific keys of the op's invoke (``respond`` false) or respond
-    event; pending ops get no respond event."""
+
+def write_trace(header: Mapping[str, object], ops: Iterable, lines: Callable) -> str:
+    """Render ops (anything with ``start`` and ``end``) as a trace under
+    ``header``.  ``lines(op)`` returns the op's invoke line and its respond
+    line, None for a pending op, each in canonical form and ending in a
+    newline; the writer puts them in step order."""
     events = []
     for op in ops:
-        events.append({"step": op.start, "op": op.op_id, "proc": op.proc, "act": "invoke",
-                       **keys(op, False)})
-        if op.end is not None:
-            events.append({"step": op.end, "op": op.op_id, "proc": op.proc, "act": "respond",
-                           **keys(op, True)})
-    events.sort(key=lambda e: e["step"])
-    return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-                   for e in [{"version": TRACE_VERSION, **header}, *events])
+        invoke, respond = lines(op)
+        events.append((op.start, invoke))
+        if respond is not None:
+            events.append((op.end, respond))
+    events.sort(key=_step)
+    return encode_json({"version": TRACE_VERSION, **header}) + "\n" + "".join(
+        [line for _, line in events])
+
+
+def _decode(line: str):
+    """``json.loads(line)``: one ``raw_decode`` where that reads the whole
+    line as one value, else ``json.loads`` itself, for its result or error."""
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 def read_trace(text: str, key: str, build_op: Callable, build: Callable):
@@ -327,22 +352,24 @@ def read_trace(text: str, key: str, build_op: Callable, build: Callable):
     Any fault, including a KeyError, TypeError or ValueError raised by a
     hook, comes out as a :class:`TraceError`.
     """
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise TraceError("empty trace")
-    lineno = header_line = lines[0][0]
+    lineno = header_line = 0
     try:
-        header = json.loads(lines[0][1])
-        if not isinstance(header, dict) or header.get("version") != TRACE_VERSION:
-            raise TraceError("header missing or wrong version")
-        if key not in header:
-            raise TraceError(f"header has no {key!r}")
         open_ops: dict[int, tuple[int, int, int, dict]] = {}
         invoked: set[int] = set()
         ops = []
         last_step = -1
-        for lineno, line in lines[1:]:
-            ev = json.loads(line)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line or line.isspace():
+                continue
+            if not header_line:
+                header_line = lineno
+                header = _decode(line)
+                if not isinstance(header, dict) or header.get("version") != TRACE_VERSION:
+                    raise TraceError("header missing or wrong version")
+                if key not in header:
+                    raise TraceError(f"header has no {key!r}")
+                continue
+            ev = _decode(line)
             step, op_id = trace_int(ev["step"], "step"), trace_int(ev["op"], "op")
             proc, act = trace_int(ev["proc"], "proc"), ev["act"]
             if step <= last_step:
@@ -362,6 +389,8 @@ def read_trace(text: str, key: str, build_op: Callable, build: Callable):
                 ops.append(build_op(op_id, proc, start, step, inv, ev))
             else:
                 raise TraceError(f"line {lineno}: unknown act {act!r}")
+        if not header_line:
+            raise TraceError("empty trace")
         for op_id, (lineno, start, proc, inv) in open_ops.items():
             ops.append(build_op(op_id, proc, start, None, inv, None))
         lineno = header_line
@@ -385,24 +414,35 @@ def trace_int(value: object, name: str) -> int:
     return value
 
 
-def _register_keys(op: OpRecord, respond: bool) -> dict:
-    keys = {"var": op.var, "kind": op.kind.value}
-    if op.kind is OpKind.WRITE and not respond:
-        keys["arg"] = op.arg
-    elif op.kind is OpKind.READ and respond:
-        keys["ret"] = op.ret
-    return keys
+def _register_lines(op: OpRecord) -> tuple[str, str | None]:
+    ids, var = f'"op":{op.op_id!r},"proc":{op.proc!r}', encode_json(op.var)
+    if op.kind is OpKind.WRITE:
+        invoke = f'{{"act":"invoke","arg":{op.arg!r},"kind":"W",{ids},"step":{op.start!r},"var":{var}}}\n'
+        if op.end is None:
+            return invoke, None
+        return invoke, f'{{"act":"respond","kind":"W",{ids},"step":{op.end!r},"var":{var}}}\n'
+    invoke = f'{{"act":"invoke","kind":"R",{ids},"step":{op.start!r},"var":{var}}}\n'
+    if op.end is None:
+        return invoke, None
+    return invoke, f'{{"act":"respond","kind":"R",{ids},"ret":{op.ret!r},"step":{op.end!r},"var":{var}}}\n'
+
+
+_OP_KINDS = {kind.value: kind for kind in OpKind}
 
 
 def _register_op(op_id, proc, start, end, inv, resp) -> OpRecord:
-    kind = OpKind(inv["kind"])
-    if not isinstance(inv["var"], str):
-        raise TypeError(f"var {inv['var']!r} is not a string")
-    return OpRecord(
-        op_id=op_id, proc=proc, var=inv["var"], kind=kind, start=start, end=end,
-        arg=trace_int(inv["arg"], "arg") if kind is OpKind.WRITE else None,
-        ret=trace_int(resp["ret"], "ret") if resp is not None and kind is OpKind.READ else None,
-    )
+    code = inv["kind"]
+    try:
+        kind = _OP_KINDS[code]
+    except (KeyError, TypeError):
+        kind = OpKind(code)  # raises, with the enum's message
+    var = inv["var"]
+    if not isinstance(var, str):
+        raise TypeError(f"var {var!r} is not a string")
+    if kind is OpKind.WRITE:
+        return OpRecord(op_id, proc, var, kind, start, end, trace_int(inv["arg"], "arg"))
+    return OpRecord(op_id, proc, var, kind, start, end, None,
+                    None if resp is None else trace_int(resp["ret"], "ret"))
 
 
 def _register_history(raw_vars, ops) -> History:
@@ -433,7 +473,7 @@ def serialize_trace(h: History, extensions: Mapping[str, object] | None = None) 
         }
         for name, spec in sorted(h.vars.items())
     }
-    return write_trace({"vars": vars, **(extensions or {})}, h.ops, _register_keys)
+    return write_trace({"vars": vars, **(extensions or {})}, h.ops, _register_lines)
 
 
 def parse_trace(text: str) -> History:

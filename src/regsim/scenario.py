@@ -14,9 +14,11 @@ A scenario is a JSON object::
       "limits": {"max_executions": 1000000, "max_steps": 10000}
     }
 
-For ``regular_bit``, ``raw_register`` and ``multireader`` the size ``n``
-counts readers and the process list is writer first, then readers.  Op
-kinds: W/R for register protocols, L/S for the timestamp system.
+``n``, ``domain``, ``seed``, the ``limits`` values and each ``arg`` are JSON
+integers (not bools, floats or strings).  For ``regular_bit``,
+``raw_register`` and ``multireader`` the size ``n`` counts readers and the
+process list is writer first, then readers.  Op kinds: W/R for register
+protocols, L/S for the timestamp system.
 """
 
 from __future__ import annotations
@@ -86,9 +88,16 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     return scenario_from_dict(raw)
+
+
+def _json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise ScenarioError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def scenario_from_dict(raw: object) -> Scenario:
@@ -99,11 +108,10 @@ def scenario_from_dict(raw: object) -> Scenario:
         raise ScenarioError(
             f"unknown construction {construction!r}; expected one of {', '.join(CONSTRUCTIONS)}"
         )
-    try:
-        n = int(raw["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError("scenario needs an integer 'n'") from None
-    domain = int(raw.get("domain", 8))
+    if "n" not in raw:
+        raise ScenarioError("scenario needs an integer 'n'")
+    n = _json_int(raw["n"], "n")
+    domain = _json_int(raw.get("domain", 8), "domain")
     base_semantics = None
     if raw.get("base_semantics") is not None:
         base_semantics = SemanticsLevel.parse(str(raw["base_semantics"]))
@@ -119,14 +127,15 @@ def scenario_from_dict(raw: object) -> Scenario:
         for op in ops:
             if not isinstance(op, dict) or "kind" not in op:
                 raise ScenarioError(f"proc {proc}: each op needs a 'kind'")
-            kind = _KIND_ALIASES.get(op["kind"])
+            kind = _KIND_ALIASES.get(op["kind"]) if isinstance(op["kind"], str) else None
             if kind is None:
                 raise ScenarioError(f"proc {proc}: unknown op kind {op['kind']!r}")
             arg = op.get("arg")
             if kind in ("Write", timestamp.LABELING):
                 if arg is None:
                     raise ScenarioError(f"proc {proc}: {kind} needs an 'arg'")
-                arg = int(arg)
+                if type(arg) is not int:
+                    raise ScenarioError(f"proc {proc}: arg {arg!r} is not an integer")
             elif arg is not None:
                 raise ScenarioError(f"proc {proc}: {kind} takes no 'arg'")
             parsed.append((kind, arg))
@@ -141,8 +150,8 @@ def scenario_from_dict(raw: object) -> Scenario:
         domain=domain,
         base_semantics=base_semantics,
         mode=mode,
-        seed=int(raw.get("seed", 0)),
-        limits={k: int(v) for k, v in limits.items()},
+        seed=_json_int(raw.get("seed", 0), "seed"),
+        limits={k: _json_int(v, f"limit {k}") for k, v in limits.items()},
     )
 
 

@@ -29,7 +29,15 @@ from .engine import (
     StepProgram,
     WriteAction,
 )
-from .history import HistoryError, SemanticsLevel, read_trace, slot_init, trace_int, write_trace
+from .history import (
+    HistoryError,
+    SemanticsLevel,
+    encode_json,
+    read_trace,
+    slot_init,
+    trace_int,
+    write_trace,
+)
 
 LABELING = "Labeling"
 SCAN = "Scan"
@@ -323,19 +331,23 @@ def extract_cts_history(execution: Execution) -> CtsHistory:
 # scanned objects as [owner,seq,pid,payload] lists in temporal order.
 # ---------------------------------------------------------------------------
 
-_CODES = {LABELING: "L", SCAN: "S"}
 _KINDS = {"L": LABELING, "S": SCAN}
 
 
-def _cts_keys(op: CtsOp, respond: bool) -> dict:
-    keys: dict[str, object] = {"kind": _CODES[op.kind]}
-    if op.kind == LABELING and not respond:
-        keys["arg"] = op.payload
-    elif op.kind == LABELING:
-        keys["ret"] = [op.label.seq, op.label.pid]
-    elif respond:
-        keys["ret"] = [[e.owner, e.label.tag.seq, e.label.tag.pid, e.payload] for e in op.result]
-    return keys
+def _cts_lines(op: CtsOp) -> tuple[str, str | None]:
+    ids = f'"op":{op.op_id!r},"proc":{op.proc!r}'
+    if op.kind == LABELING:
+        invoke = f'{{"act":"invoke","arg":{op.payload!r},"kind":"L",{ids},"step":{op.start!r}}}\n'
+        if op.end is None:
+            return invoke, None
+        code, ret = "L", f"[{op.label.seq!r},{op.label.pid!r}]"
+    else:
+        invoke = f'{{"act":"invoke","kind":"S",{ids},"step":{op.start!r}}}\n'
+        if op.end is None:
+            return invoke, None
+        code, ret = "S", encode_json(
+            [[e.owner, e.label.tag.seq, e.label.tag.pid, e.payload] for e in op.result])
+    return invoke, f'{{"act":"respond","kind":"{code}",{ids},"ret":{ret},"step":{op.end!r}}}\n'
 
 
 def _cts_op(op_id, proc, start, end, inv, resp) -> CtsOp:
@@ -345,19 +357,17 @@ def _cts_op(op_id, proc, start, end, inv, resp) -> CtsOp:
         if resp is not None:
             seq, pid = resp["ret"]
             label = Tag(trace_int(seq, "seq"), trace_int(pid, "pid"))
-        return CtsOp(op_id=op_id, proc=proc, kind=kind, start=start, end=end,
-                     payload=trace_int(inv["arg"], "arg"), label=label)
-    result = None if resp is None else tuple(
-        LabeledObject(owner=trace_int(o, "owner"),
-                      label=Label(Tag(trace_int(s, "seq"), trace_int(p, "pid"))),
-                      payload=trace_int(v, "payload"))
+        return CtsOp(op_id, proc, kind, start, end, trace_int(inv["arg"], "arg"), label)
+    result = None if resp is None else tuple([
+        LabeledObject(trace_int(o, "owner"), Label(Tag(trace_int(s, "seq"), trace_int(p, "pid"))),
+                      trace_int(v, "payload"))
         for o, s, p, v in resp["ret"]
-    )
-    return CtsOp(op_id=op_id, proc=proc, kind=kind, start=start, end=end, result=result)
+    ])
+    return CtsOp(op_id, proc, kind, start, end, None, None, result)
 
 
 def serialize_cts_trace(h: CtsHistory, extensions: Mapping[str, object] | None = None) -> str:
-    return write_trace({"cts": {"n": h.n}, **(extensions or {})}, h.ops, _cts_keys)
+    return write_trace({"cts": {"n": h.n}, **(extensions or {})}, h.ops, _cts_lines)
 
 
 def parse_cts_trace(text: str) -> CtsHistory:

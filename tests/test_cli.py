@@ -259,6 +259,54 @@ def test_enumerate_requires_enumerate_mode(tmp_path, capsys):
     assert "mode 'enumerate'" in capsys.readouterr().err
 
 
+# Each of these once ended in a traceback (exit 1) or ran as a truncated
+# number: n=2.5 as n=2, an arg of 1.9 as 1.
+BAD_SCENARIOS = [
+    pytest.param({"domain": "x"}, id="domain-string"),
+    pytest.param({"domain": None}, id="domain-null"),
+    pytest.param({"seed": "x"}, id="seed-string"),
+    pytest.param({"seed": float("inf")}, id="seed-infinity"),
+    pytest.param({"limits": {"max_steps": "x"}}, id="limit-string"),
+    pytest.param({"workload": [[{"kind": "W", "arg": "x"}], [{"kind": "R"}]]}, id="arg-string"),
+    pytest.param({"workload": [[{"kind": ["W"], "arg": 1}], [{"kind": "R"}]]}, id="kind-a-list"),
+    pytest.param({"n": 2.5}, id="n-float"),
+    pytest.param({"n": True}, id="n-bool"),
+    pytest.param({"workload": [[{"kind": "W", "arg": 1.9}], [{"kind": "R"}]]}, id="arg-float"),
+    pytest.param("[" * 100_000, id="nested-too-deep"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_SCENARIOS)
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_malformed_scenario_exit_two(tmp_path, capsys, command, bad):
+    if isinstance(bad, str):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(bad, encoding="utf-8")
+    else:
+        cfg = write_config(tmp_path, **bad)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    assert "seed=5" in capsys.readouterr().out
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "seed=7" in capsys.readouterr().out  # the scenario's
+    assert main(["enumerate", "--config", cfg, "--max-executions", "3", "--out", str(out)]) == 3
+    assert main(["enumerate", "--config", cfg, "--out", str(out)]) == 0
+    assert not json.loads((out / "report.json").read_text())["truncated"]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "5"])  # no --config
+    assert exc.value.code == 2
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "seed=7" in capsys.readouterr().out
+
+
 # -- check --------------------------------------------------------------------
 
 
@@ -330,7 +378,8 @@ REG_READ = ('{"step":2,"op":1,"proc":1,"var":"X","act":"invoke","kind":"R"}\n'
             '{"step":3,"op":1,"proc":1,"var":"X","act":"respond","kind":"R","ret":3}\n')
 
 
-@pytest.mark.parametrize("level, text", [
+#: (level, trace text) pairs that `regsim check` must refuse with exit 2.
+MALFORMED_TRACES = [
     pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace("[1,0]", "[1]"),
                  id="cts-labeling-ret-one-element"),
     pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING.replace('"arg":5,', ""),
@@ -375,7 +424,10 @@ REG_READ = ('{"step":2,"op":1,"proc":1,"var":"X","act":"invoke","kind":"R"}\n'
                  id="cts-scan-owner-string"),
     pytest.param("cts", CTS_HEADER + "\n" + CTS_LABELING + CTS_SCAN.replace("[[0,1,0,5]]", "[[0,1,0,true]]"),
                  id="cts-scan-payload-bool"),
-])
+]
+
+
+@pytest.mark.parametrize("level, text", MALFORMED_TRACES)
 def test_check_malformed_trace_exit_two(tmp_path, capsys, level, text):
     path = tmp_path / "bad.jsonl"
     path.write_text(text, encoding="utf-8")
