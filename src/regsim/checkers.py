@@ -1,9 +1,10 @@
 """Judging histories against the safe / regular / atomic hierarchy.
 
-``check_level`` is the production checker.  ``brute_force_atomic`` is a
-deliberately naive permutation-enumeration oracle that shares no code with
-the search-based checker; the two must agree on every history small enough
-for the oracle, and the test suite holds them to that.
+``check_level`` is the production checker.  ``brute_force_atomic`` is an
+independent oracle, a backtracking enumeration of orders that drops each
+failing prefix, and shares no code with the search-based checker; the two
+must agree on every history small enough for the oracle, and the test suite
+holds them to that.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .history import (
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Execution
 
-#: Maximum ops per variable fed to the factorial oracle.
+#: Maximum completed ops per variable fed to the factorial oracle.
 BRUTE_FORCE_LIMIT = 8
 
 _end = attrgetter("end")
@@ -230,58 +231,92 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
 
 
 def brute_force_atomic(h: History) -> bool:
-    """Independent atomicity oracle: enumerate every permutation.
+    """Independent atomicity oracle: enumerate orders, dropping failing
+    prefixes.
 
     Per variable, every subset of pending Writes combined with all completed
-    operations is permuted outright; a permutation is accepted iff it
-    extends precedence (no op may end before an earlier-placed op starts)
-    and replays every Read's return value.  No pruning, no code shared with
+    operations is put in every order; an order is accepted iff it extends
+    precedence (no op may end before an earlier-placed op starts) and
+    replays every Read's return value.  Orders are built one op at a time,
+    depth first on an explicit stack, and a prefix is rejected at the first
+    op that (a) ends before the largest start among the ops placed before
+    it, or (b) is a Read returning other than the last placed Write's
+    argument (the initial value if no Write is placed yet).  Both
+    conditions read the prefix alone, so every order that extends a
+    rejected prefix is rejected as well: dropping them together accepts
+    exactly the orders that permuting outright would.  The empty order, of
+    a variable with only pending Reads, is accepted.  Nothing is remembered
+    between branches, every unplaced op is a candidate at every depth (no
+    window, no order by end), and no code is shared with
     :func:`check_level`.  Guarded against factorial blow-up at
-    ``BRUTE_FORCE_LIMIT`` completed ops per variable.
+    ``BRUTE_FORCE_LIMIT`` completed ops per variable, checked on every
+    variable before any is searched.
     """
     inf = float("inf")
-    for var in {op.var for op in h.ops}:
-        completed = [o for o in h.ops if o.var == var and o.completed]
-        pending_writes = [
-            o for o in h.ops if o.var == var and not o.completed and o.kind is OpKind.WRITE
-        ]
-        if len(completed) > BRUTE_FORCE_LIMIT:
+    write_kind = OpKind.WRITE
+    # Per variable, in order of first op: its completed ops and its pending
+    # Writes as (start, end, is_write, value), the only fields read below.
+    per_var: dict[str, tuple[list, list]] = {}
+    for o in h.ops:
+        lists = per_var.get(o.var)
+        if lists is None:
+            lists = per_var[o.var] = ([], [])
+        write = o.kind is write_kind
+        if o.end is not None:
+            lists[0].append((o.start, o.end, write, o.arg if write else o.ret))
+        elif write:
+            lists[1].append((o.start, inf, True, o.arg))
+    for var, (comp, _) in per_var.items():
+        if len(comp) > BRUTE_FORCE_LIMIT:
             raise HistoryError(
-                f"var {var!r}: {len(completed)} completed ops exceed oracle limit {BRUTE_FORCE_LIMIT}"
+                f"var {var!r}: {len(comp)} completed ops exceed oracle limit {BRUTE_FORCE_LIMIT}"
             )
+    for var, (comp, pend) in per_var.items():
         init = h.vars[var].init
-        # (start, end, is_write, value) per op; the loop below touches
-        # nothing else, keeping the permutation scan cheap.
-        comp = [
-            (o.start, o.end, o.kind is OpKind.WRITE,
-             o.arg if o.kind is OpKind.WRITE else o.ret)
-            for o in completed
-        ]
-        pend = [(o.start, inf, True, o.arg) for o in pending_writes]
-        found = False
-        for k in range(len(pend) + 1):
-            for extra in itertools.combinations(pend, k):
-                for perm in itertools.permutations(comp + list(extra)):
-                    max_start = -1
-                    value = init
-                    for s, e, is_write, v in perm:
-                        if e < max_start:
-                            break
-                        if s > max_start:
-                            max_start = s
-                        if is_write:
-                            value = v
-                        elif v != value:
-                            break
-                    else:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
+        if not any(
+            _some_order(comp + list(extra), init)
+            for k in range(len(pend) + 1)
+            for extra in itertools.combinations(pend, k)
+        ):
             return False
+    return True
+
+
+def _some_order(ops: list[tuple], init: int) -> bool:
+    """Does some order of all of ``ops`` pass :func:`brute_force_atomic`'s
+    two prefix conditions?  Reorders ``ops`` in place.
+
+    At depth d, ``ops[:d]`` is the prefix placed so far and ``ops[d:]`` the
+    ops still to place.  Op j is tried next by swapping it into position d
+    and, on backtracking, swapped back, so each depth tries every remaining
+    op once and the depths together try every order.
+    """
+    n = len(ops)
+    # One (op tried at that depth, max start before it, value before it)
+    # frame per depth below d; j is the next candidate to try at depth d.
+    stack: list[tuple[int, int, int]] = []
+    d, j, max_start, value = 0, 0, -1, init
+    while d < n:
+        for j in range(j, n):
+            s, e, is_write, v = ops[j]
+            if e < max_start or not is_write and v != value:
+                continue
+            ops[d], ops[j] = ops[j], ops[d]
+            stack.append((j, max_start, value))
+            if s > max_start:
+                max_start = s
+            if is_write:
+                value = v
+            d += 1
+            j = d
+            break
+        else:
+            if not d:
+                return False
+            d -= 1
+            j, max_start, value = stack.pop()
+            ops[d], ops[j] = ops[j], ops[d]
+            j += 1
     return True
 
 

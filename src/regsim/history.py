@@ -114,6 +114,10 @@ class VarSpec:
     readers: frozenset[int]
 
     def _validate(self, name: str) -> None:
+        if type(self.domain) is not int:
+            raise HistoryError(f"var {name}: domain {self.domain!r} is not an integer")
+        if type(self.init) is not int:
+            raise HistoryError(f"var {name}: init {self.init!r} is not an integer")
         if self.domain < 2:
             raise HistoryError(f"var {name}: domain {self.domain} < 2")
         if not 0 <= self.init < self.domain:
@@ -121,6 +125,17 @@ class VarSpec:
 
 
 _start = attrgetter("start")
+
+
+def not_int(op, required: tuple[str, ...], optional: tuple[str, ...]) -> str:
+    """The message for the first of an op's fields that is not an exact
+    ``int`` (a bool or a float is refused), the ``optional`` ones also
+    allowed to be None."""
+    for name in required + optional:
+        value = getattr(op, name)
+        if type(value) is not int and (value is not None or name in required):
+            return f"op {op.op_id!r}: {name} {value!r} is not an integer"
+    raise AssertionError("every field is an integer")
 
 
 def precedes(a: OpRecord, b: OpRecord) -> bool:
@@ -162,10 +177,16 @@ class History:
         # and a pending operation is its process's last.  For 1-writer
         # variables that also puts all Writes in one total order.
         last: dict[int, OpRecord] = {}
+        type_, int_ = type, int  # local names for the type tests on every op
         for op in self.ops:
             op_id, proc, start, end, arg, ret = op.op_id, op.proc, op.start, op.end, op.arg, op.ret
-            # The op on its own: Writes carry arg and never ret; Reads carry
-            # ret exactly when completed.
+            # The op on its own: integer fields, Writes carry arg and never
+            # ret; Reads carry ret exactly when completed.
+            if (type_(op_id) is not int_ or type_(proc) is not int_ or type_(start) is not int_
+                    or end is not None and type_(end) is not int_
+                    or arg is not None and type_(arg) is not int_
+                    or ret is not None and type_(ret) is not int_):
+                raise HistoryError(not_int(op, ("op_id", "proc", "start"), ("end", "arg", "ret")))
             if op_id < 0 or proc < 0 or start < 0:
                 raise HistoryError(f"op {op_id}: negative id, proc or step")
             if end is not None and end <= start:

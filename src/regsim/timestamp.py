@@ -33,6 +33,7 @@ from .history import (
     HistoryError,
     SemanticsLevel,
     encode_json,
+    not_int,
     read_trace,
     slot_init,
     trace_int,
@@ -198,10 +199,17 @@ class CtsHistory:
         self._validate()
 
     def _validate(self) -> None:
+        if type(self.n) is not int:
+            raise HistoryError(f"n {self.n!r} is not an integer")
         steps: set[int] = set()
         last_per_proc: dict[int, CtsOp] = {}
         ids: set[int] = set()
         for op in self.ops:
+            if (type(op.op_id) is not int or type(op.proc) is not int
+                    or type(op.start) is not int
+                    or op.end is not None and type(op.end) is not int
+                    or op.payload is not None and type(op.payload) is not int):
+                raise HistoryError(not_int(op, ("op_id", "proc", "start"), ("end", "payload")))
             if op.op_id in ids:
                 raise HistoryError(f"duplicate op id {op.op_id}")
             ids.add(op.op_id)

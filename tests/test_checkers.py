@@ -1,10 +1,13 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import regsim
 from regsim import (
     History,
     HistoryError,
@@ -225,6 +228,31 @@ def test_brute_force_size_guard():
     ops = tuple(w(i, 2 * i, 2 * i + 1, 1) for i in range(9))
     with pytest.raises(HistoryError, match="oracle limit"):
         brute_force_atomic(hist(*ops))
+
+
+#: Var "a" holds a non-atomic pair, var "b" nine completed Writes.  An
+#: oracle that checks each variable's size only when it reaches it, in set
+#: order, returns False or raises depending on the string hash seed.
+_MIXED_LIMITS = """
+from regsim import History, HistoryError, OpKind, OpRecord, VarSpec, brute_force_atomic
+spec = VarSpec(domain=3, init=0, writers=frozenset({0}), readers=frozenset({1}))
+ops = [OpRecord(0, 0, "a", OpKind.WRITE, 0, 1, 1), OpRecord(1, 1, "a", OpKind.READ, 2, 3, None, 2)]
+ops += [OpRecord(2 + i, 0, "b", OpKind.WRITE, 4 + 2 * i, 5 + 2 * i, 1) for i in range(9)]
+try:
+    print(brute_force_atomic(History(vars={"a": spec, "b": spec}, ops=tuple(ops))))
+except HistoryError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2"])
+def test_brute_force_size_guard_ignores_hash_order(hash_seed):
+    # The child imports the regsim under test, from wherever it was found.
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.path.dirname(os.path.dirname(regsim.__file__)))
+    out = subprocess.run([sys.executable, "-c", _MIXED_LIMITS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "var 'b': 9 completed ops exceed oracle limit 8\n"
 
 
 def test_oracle_agrees_with_checker_on_random_histories():

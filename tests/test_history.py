@@ -122,6 +122,29 @@ def test_write_needs_arg_read_needs_ret_iff_completed():
         hist(OpRecord(op_id=0, proc=0, var="x", kind=OpKind.READ, start=0, ret=3))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("field", ["op_id", "proc", "start", "end", "arg", "ret"])
+def test_non_integer_op_field_rejected(field, bad):
+    # A Write for arg, a completed Read for ret; each field otherwise valid
+    # as the int 1, so only its type is wrong.  A Write of True once
+    # validated and was serialized as "arg":True, which no reader accepts.
+    write = field != "ret"
+    fields = dict(op_id=1, proc=1, var="x", kind=OpKind.WRITE if write else OpKind.READ,
+                  start=1, end=2, arg=1 if write else None, ret=None if write else 1)
+    fields[field] = bad
+    with pytest.raises(HistoryError, match=f"{field} {bad!r} is not an integer"):
+        hist(OpRecord(**fields), writers=(1,), readers=(1,))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("field", ["domain", "init"])
+def test_non_integer_var_spec_rejected(field, bad):
+    spec = dict(domain=2, init=1)
+    spec[field] = bad
+    with pytest.raises(HistoryError, match=f"{field} {bad!r} is not an integer"):
+        hist(**spec)
+
+
 def test_domain_below_two_rejected():
     with pytest.raises(HistoryError, match="domain"):
         History(vars={"x": VarSpec(domain=1, init=0, writers=frozenset({0}),

@@ -204,6 +204,23 @@ def test_cts_history_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("field", ["op_id", "proc", "start", "end", "payload"])
+def test_cts_non_integer_op_field_rejected(field, bad):
+    fields = dict(op_id=1, proc=1, kind=LABELING, start=1, end=2, payload=1, label=Tag(1, 1))
+    fields[field] = bad
+    with pytest.raises(HistoryError, match=f"{field} {bad!r} is not an integer"):
+        CtsHistory(n=2, ops=(CtsOp(**fields),))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+def test_cts_non_integer_process_count_rejected(bad):
+    # n 2.0 was accepted and serialized as {"cts":{"n":2.0}}, which no
+    # reader accepts.
+    with pytest.raises(HistoryError, match=f"n {bad!r} is not an integer"):
+        CtsHistory(n=bad, ops=(CtsOp(0, 0, LABELING, 0, 1, 1, Tag(1, 0)),))
+
+
 # -- trace codec --------------------------------------------------------------
 
 
