@@ -127,8 +127,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         sc = load_scenario(args.config)
         spec = build_protocol(sc)
-        if sc.mode != "enumerate":
-            raise ScenarioError("enumerate command needs a scenario with mode 'enumerate'")
         level = args.check or ("cts" if sc.construction == "cts" else "atomic")
         check = _make_execution_checker(sc, spec, level)
     except (ScenarioError, HistoryError) as exc:

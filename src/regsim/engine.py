@@ -237,10 +237,22 @@ class _Choices(Sequence):
         return ((proc, v) for proc, values in self.branches for v in values)
 
 
-# Per-process runtime slots.
 _IDLE, _PENDING_INVOKE, _MID, _ENDING = range(4)
-(_P_MEM, _P_STATE, _P_PHASE, _P_ACTION, _P_OPIDX, _P_KIND,
- _P_ARG, _P_FIRST, _P_ACC, _P_UID, _P_BINV) = range(11)
+
+
+class _Proc:
+    """One process's runtime state.  Its current op is
+    ``workload[proc][opidx]``, begun at step ``first`` as op ``uid``, with
+    ``acc`` base accesses so far; ``binv`` is the invoke step of its
+    current base Read."""
+
+    __slots__ = ("mem", "state", "phase", "action", "opidx", "first", "acc", "uid", "binv")
+
+    def __init__(self, mem: object):
+        self.mem = mem
+        self.state = self.action = self.first = self.acc = self.uid = self.binv = None
+        self.phase = _IDLE
+        self.opidx = 0
 
 
 class _Sim:
@@ -258,6 +270,10 @@ class _Sim:
                     raise EngineError(f"proc {proc}: unknown operation kind {kind!r}")
                 if var_name is not None and kind not in _REGISTER_KINDS:
                     raise EngineError(f"proc {proc}: {kind!r} is not a Read or Write of {var_name!r}")
+                if arg is not None and (type(arg) is not int or not 0 <= arg < spec.domain):
+                    raise EngineError(
+                        f"proc {proc}: {kind} arg {arg!r} is not an integer in [0, {spec.domain})"
+                    )
         self.spec = spec
         self.record_op = spec.record_op if var_name is None else partial(_register_record, var_name)
         self.workload = [list(ops) for ops in workload]
@@ -265,20 +281,15 @@ class _Sim:
         self.regs = spec.registers
         self.step = 0
         self.next_uid = 0
-        self.reg_vals = [r.init for r in self.regs]
-        # Write intervals per register, for safe/regular feasibility:
-        # mutable [start, end|None, value] records.
-        self.reg_writes: list[list[list]] = [[] for _ in self.regs]
+        # Per register, its Writes' intervals as mutable [start, end|None,
+        # value] records in start order, the first its initial value, as a
+        # Write ended before step 0: its one writer is sequential, so only
+        # the last may be pending.
+        self.reg_writes: list[list[list]] = [[[-2, -1, r.init]] for r in self.regs]
         self.events: list[Event] = []
         self.hlops: list[HLOp] = []
         self.decisions: list[Decision] = []
-        self.procs = []
-        for proc in range(spec.n_processes):
-            p = [None] * 11
-            p[_P_MEM] = self.program.initial_memory(proc)
-            p[_P_PHASE] = _IDLE
-            p[_P_OPIDX] = 0
-            self.procs.append(p)
+        self.procs = [_Proc(self.program.initial_memory(proc)) for proc in range(spec.n_processes)]
         self.n_ops = [len(ops) for ops in self.workload]
         # Registers whose base Reads the adversary answers.
         self.weak = [r.semantics is not SemanticsLevel.ATOMIC for r in self.regs]
@@ -290,12 +301,12 @@ class _Sim:
         """Adversary choices for the safe/regular base Read ``proc`` is about
         to complete, computed at respond time from the register's base
         history so far (pending Writes overlap everything after them).  Its
-        one writer is sequential, so the last Write ended is the latest."""
+        one writer is sequential, so the last Write ended is the latest; the
+        log's first record, the initial value, ends before every Read."""
         p = self.procs[proc]
-        reg_idx = p[_P_ACTION].reg
+        reg_idx = p.action.reg
         reg = self.regs[reg_idx]
-        r_inv = p[_P_BINV]
-        latest_val = reg.init
+        r_inv = p.binv
         overlapping = []
         for s, e, v in self.reg_writes[reg_idx]:
             if e is not None and e < r_inv:
@@ -316,12 +327,12 @@ class _Sim:
         out: list = []  # (proc, None) steps and (proc, values) adversary branches
         adversary = False
         for proc, p in enumerate(self.procs):
-            phase = p[_P_PHASE]
-            action = p[_P_ACTION]
+            phase = p.phase
+            action = p.action
             if phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
                 out.append((proc, self.feasible(proc)))
                 adversary = True
-            elif phase != _IDLE or p[_P_OPIDX] < self.n_ops[proc]:
+            elif phase != _IDLE or p.opidx < self.n_ops[proc]:
                 out.append(self.step_choice[proc])
         if not adversary:
             return out
@@ -333,10 +344,10 @@ class _Sim:
         """Raise :class:`InvalidDecision` unless ``(proc, value)`` is one of
         this node's :meth:`choices`."""
         p = self.procs[proc] if 0 <= proc < self.spec.n_processes else None
-        if p is None or p[_P_PHASE] == _IDLE and p[_P_OPIDX] >= self.n_ops[proc]:
+        if p is None or p.phase == _IDLE and p.opidx >= self.n_ops[proc]:
             raise InvalidDecision(f"process {proc} has no pending step")
-        action = p[_P_ACTION]
-        if p[_P_PHASE] == _MID and type(action) is ReadAction and self.weak[action.reg]:
+        action = p.action
+        if p.phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
             if value is None:
                 raise InvalidDecision(f"process {proc}: adversary value required")
             if value not in self.feasible(proc):
@@ -345,67 +356,62 @@ class _Sim:
             raise InvalidDecision(f"process {proc}: unexpected adversary value")
 
     def apply(self, proc: int, value: int | None):
-        """Perform one scheduler event for ``proc``; returns an undo token.
-        The decision must be one of :meth:`choices`: callers that did not
-        take it from there :meth:`check` it first."""
+        """Perform one scheduler event for ``proc``; returns an undo token:
+        (proc, its saved state, the Write record the event opened or closed
+        or None).  The decision must be one of :meth:`choices`: callers that
+        did not take it from there :meth:`check` it first."""
         p = self.procs[proc]
-        phase, action = p[_P_PHASE], p[_P_ACTION]
-        snap = tuple(p)
+        phase, action = p.phase, p.action
+        snap = (p.mem, p.state, phase, action, p.opidx, p.first, p.acc, p.uid, p.binv)
         step = self.step
         self.step += 1
-        reg_undo = None
-        hl_done = False
+        rec = None
 
         if phase == _IDLE:
-            kind, arg = self.workload[proc][p[_P_OPIDX]]
-            p[_P_KIND] = kind
-            p[_P_ARG] = arg
-            p[_P_UID] = self.next_uid
+            p.uid = self.next_uid
             self.next_uid += 1
-            p[_P_FIRST] = step
-            p[_P_ACC] = 0
-            action, state = self.program.begin(proc, p[_P_MEM], kind, arg)
+            p.first = step
+            p.acc = 0
+            kind, arg = self.workload[proc][p.opidx]
+            action, state = self.program.begin(proc, p.mem, kind, arg)
             if type(action) is ReturnAction:
-                p[_P_PHASE] = _ENDING
-                p[_P_ACTION] = action
-                self.events.append((step, proc, "ob", None, None, None, p[_P_UID]))
+                p.phase = _ENDING
+                p.action = action
+                self.events.append((step, proc, "ob", None, None, None, p.uid))
             else:
-                reg_undo = self._invoke(p, proc, action, state, step)
+                rec = self._invoke(p, proc, action, state, step)
         elif phase == _PENDING_INVOKE:
-            reg_undo = self._invoke(p, proc, p[_P_ACTION], p[_P_STATE], step)
+            rec = self._invoke(p, proc, action, p.state, step)
         elif phase == _MID:
             reg_idx = action.reg
+            log = self.reg_writes[reg_idx]
             if type(action) is WriteAction:
-                if not self.weak[reg_idx]:
-                    reg_undo = ("val", reg_idx, self.reg_vals[reg_idx])
-                    self.reg_vals[reg_idx] = action.value
-                else:
-                    # single writer per register, writers sequential: the
-                    # pending record is always the latest one
-                    rec = self.reg_writes[reg_idx][-1]
-                    rec[1] = step
-                    reg_undo = ("wend", rec)
+                rec = log[-1]  # the writer's pending Write
+                rec[1] = step
                 result = None
-                self.events.append((step, proc, "br", reg_idx, "W", action.value, p[_P_UID]))
+                self.events.append((step, proc, "br", reg_idx, "W", action.value, p.uid))
             else:
-                result = value if self.weak[reg_idx] else self.reg_vals[reg_idx]
-                self.events.append((step, proc, "br", reg_idx, "R", result, p[_P_UID]))
-            nxt, state = self.program.resume(proc, p[_P_MEM], p[_P_STATE], result)
+                # An atomic Write takes effect at its respond, so an atomic
+                # Read returns the latest ended Write's value: the log's
+                # last, or the one before it while the last is pending.
+                if self.weak[reg_idx]:
+                    result = value
+                else:
+                    result = log[-1][2] if log[-1][1] is not None else log[-2][2]
+                self.events.append((step, proc, "br", reg_idx, "R", result, p.uid))
+            nxt, state = self.program.resume(proc, p.mem, p.state, result)
             if type(nxt) is ReturnAction:
                 self._finish_op(p, proc, nxt, step)
-                hl_done = True
             else:
-                self._check_action(proc, nxt)
-                p[_P_ACTION] = nxt
-                p[_P_STATE] = state
-                p[_P_PHASE] = _PENDING_INVOKE
+                p.action = nxt
+                p.state = state
+                p.phase = _PENDING_INVOKE
         else:  # _ENDING
-            self.events.append((step, proc, "oe", None, None, None, p[_P_UID]))
-            self._finish_op(p, proc, p[_P_ACTION], step)
-            hl_done = True
+            self.events.append((step, proc, "oe", None, None, None, p.uid))
+            self._finish_op(p, proc, action, step)
 
         self.decisions.append((proc, value))
-        return (proc, snap, reg_undo, hl_done)
+        return (proc, snap, rec)
 
     def _check_action(self, proc: int, action) -> None:
         if type(action) is ReadAction:
@@ -421,59 +427,57 @@ class _Sim:
         else:
             raise EngineError(f"program produced invalid action {action!r}")
 
-    def _invoke(self, p: list, proc: int, action, state, step: int):
+    def _invoke(self, p: _Proc, proc: int, action, state, step: int) -> list | None:
         self._check_action(proc, action)
-        p[_P_ACC] += 1
-        if p[_P_ACC] > self.spec.budgets[p[_P_KIND]]:
+        p.acc += 1
+        kind = self.workload[proc][p.opidx][0]
+        if p.acc > self.spec.budgets[kind]:
             raise EngineError(
-                f"{p[_P_KIND]} by proc {proc} exceeded declared budget "
-                f"{self.spec.budgets[p[_P_KIND]]}"
+                f"{kind} by proc {proc} exceeded declared budget {self.spec.budgets[kind]}"
             )
         reg_idx = action.reg
-        reg_undo = None
+        rec = None
         if type(action) is WriteAction:
-            self.events.append((step, proc, "bi", reg_idx, "W", action.value, p[_P_UID]))
-            if self.weak[reg_idx]:
-                self.reg_writes[reg_idx].append([step, None, action.value])
-                reg_undo = ("wpend", reg_idx)
+            self.events.append((step, proc, "bi", reg_idx, "W", action.value, p.uid))
+            rec = [step, None, action.value]
+            self.reg_writes[reg_idx].append(rec)
         else:
-            self.events.append((step, proc, "bi", reg_idx, "R", None, p[_P_UID]))
-            p[_P_BINV] = step
-        p[_P_ACTION] = action
-        p[_P_STATE] = state
-        p[_P_PHASE] = _MID
-        return reg_undo
+            self.events.append((step, proc, "bi", reg_idx, "R", None, p.uid))
+            p.binv = step
+        p.action = action
+        p.state = state
+        p.phase = _MID
+        return rec
 
-    def _finish_op(self, p: list, proc: int, action: ReturnAction, step: int) -> None:
-        uid, kind, arg, ret, start = p[_P_UID], p[_P_KIND], p[_P_ARG], action.value, p[_P_FIRST]
+    def _finish_op(self, p: _Proc, proc: int, action: ReturnAction, step: int) -> None:
+        kind, arg = self.workload[proc][p.opidx]
+        uid, ret, start = p.uid, action.value, p.first
         record_op = self.record_op
         record = None if record_op is None else record_op(uid, proc, kind, arg, ret, start, step)
         # op_id, proc, kind, arg, ret, start, end, base_accesses, record
-        self.hlops.append(HLOp(uid, proc, kind, arg, ret, start, step, p[_P_ACC], record))
-        p[_P_MEM] = action.memory
-        p[_P_OPIDX] += 1
-        p[_P_PHASE] = _IDLE
-        p[_P_ACTION] = None
-        p[_P_STATE] = None
+        self.hlops.append(HLOp(uid, proc, kind, arg, ret, start, step, p.acc, record))
+        p.mem = action.memory
+        p.opidx += 1
+        p.phase = _IDLE
+        p.action = None
+        p.state = None
 
     def undo(self, token) -> None:
-        proc, snap, reg_undo, hl_done = token
+        proc, snap, rec = token
+        p = self.procs[proc]
         self.step -= 1
         self.decisions.pop()
         self.events.pop()
-        if hl_done:
+        if p.phase == _IDLE:  # the event finished an op
             self.hlops.pop()
-        if reg_undo is not None:
-            tag = reg_undo[0]
-            if tag == "val":
-                self.reg_vals[reg_undo[1]] = reg_undo[2]
-            elif tag == "wend":
-                reg_undo[1][1] = None
-            else:  # "wpend"
-                self.reg_writes[reg_undo[1]].pop()
-        if snap[_P_PHASE] == _IDLE:
+        if rec is not None:
+            if rec[1] is None:  # the event invoked this Write
+                self.reg_writes[p.action.reg].pop()
+            else:  # it ended it
+                rec[1] = None
+        p.mem, p.state, p.phase, p.action, p.opidx, p.first, p.acc, p.uid, p.binv = snap
+        if p.phase == _IDLE:  # the event began an op
             self.next_uid -= 1
-        self.procs[proc][:] = snap
 
     def snapshot(self) -> Execution:
         return Execution(

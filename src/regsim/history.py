@@ -106,14 +106,25 @@ class OpRecord:
 
 @dataclass(frozen=True, slots=True)
 class VarSpec:
-    """Declaration of one shared variable: domain size, initial value, roles."""
+    """Declaration of one shared variable: domain size, initial value, roles.
+
+    The role members are checked once, here; the rest per history, where
+    the variable has a name to report."""
 
     domain: int
     init: int
     writers: frozenset[int]
     readers: frozenset[int]
 
+    def __post_init__(self) -> None:
+        for role, procs in (("writer", self.writers), ("reader", self.readers)):
+            for proc in procs:
+                if type(proc) is not int:
+                    raise HistoryError(f"{role} {proc!r} is not an integer")
+
     def _validate(self, name: str) -> None:
+        if type(name) is not str:
+            raise HistoryError(f"var {name!r}: name is not a string")
         if type(self.domain) is not int:
             raise HistoryError(f"var {name}: domain {self.domain!r} is not an integer")
         if type(self.init) is not int:
@@ -136,6 +147,45 @@ def not_int(op, required: tuple[str, ...], optional: tuple[str, ...]) -> str:
         if type(value) is not int and (value is not None or name in required):
             return f"op {op.op_id!r}: {name} {value!r} is not an integer"
     raise AssertionError("every field is an integer")
+
+
+def sequential_ops(ops: Iterable) -> tuple:
+    """``ops`` sorted by start, checked for what every history requires of
+    its intervals: exact int ``op_id``, ``proc``, ``start`` and ``end``
+    (None while pending), unique ids and steps, each op ending after it
+    starts, and sequential processes (a process's ops never overlap, and a
+    pending op is its last; for 1-writer variables that also puts all
+    Writes in one total order).  Raises :class:`HistoryError`."""
+    try:
+        ops = tuple(sorted(ops, key=_start))
+    except TypeError:  # some start is not an int: the loop names the first
+        ops = [op for op in ops if type(op.start) is not int]
+    steps: set[int] = set()
+    ids: set[int] = set()
+    last: dict[int, object] = {}
+    type_, int_ = type, int  # local names for the type tests on every op
+    for op in ops:
+        op_id, proc, start, end = op.op_id, op.proc, op.start, op.end
+        if (type_(op_id) is not int_ or type_(proc) is not int_ or type_(start) is not int_
+                or end is not None and type_(end) is not int_):
+            raise HistoryError(not_int(op, ("op_id", "proc", "start"), ("end",)))
+        if end is not None and end <= start:
+            raise HistoryError(f"op {op_id}: end {end} not after start {start}")
+        if op_id in ids:
+            raise HistoryError(f"duplicate op id {op_id}")
+        ids.add(op_id)
+        if start in steps:
+            raise HistoryError(f"duplicate step index {start}")
+        steps.add(start)
+        if end is not None:
+            if end in steps:
+                raise HistoryError(f"duplicate step index {end}")
+            steps.add(end)
+        prev = last.get(proc)
+        if prev is not None and (prev.end is None or prev.end > start):
+            raise HistoryError(f"proc {proc}: ops {prev.op_id} and {op_id} overlap")
+        last[proc] = op
+    return ops
 
 
 def precedes(a: OpRecord, b: OpRecord) -> bool:
@@ -163,53 +213,43 @@ class History:
     ops: tuple[OpRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=_start)))
         object.__setattr__(self, "vars", dict(self.vars))
         self._validate()
 
     def _validate(self) -> None:
+        object.__setattr__(self, "ops", sequential_ops(self.ops))
         vars = self.vars
         for name, spec in vars.items():
             spec._validate(name)
-        steps: set[int] = set()
-        ids: set[int] = set()
-        # Processes are sequential: a process's operations never overlap,
-        # and a pending operation is its process's last.  For 1-writer
-        # variables that also puts all Writes in one total order.
-        last: dict[int, OpRecord] = {}
         type_, int_ = type, int  # local names for the type tests on every op
+        W, R = OpKind.WRITE, OpKind.READ
         for op in self.ops:
             op_id, proc, start, end, arg, ret = op.op_id, op.proc, op.start, op.end, op.arg, op.ret
-            # The op on its own: integer fields, Writes carry arg and never
+            # The op on its own: integer values, Writes carry arg and never
             # ret; Reads carry ret exactly when completed.
-            if (type_(op_id) is not int_ or type_(proc) is not int_ or type_(start) is not int_
-                    or end is not None and type_(end) is not int_
-                    or arg is not None and type_(arg) is not int_
+            if (arg is not None and type_(arg) is not int_
                     or ret is not None and type_(ret) is not int_):
-                raise HistoryError(not_int(op, ("op_id", "proc", "start"), ("end", "arg", "ret")))
+                raise HistoryError(not_int(op, (), ("arg", "ret")))
             if op_id < 0 or proc < 0 or start < 0:
                 raise HistoryError(f"op {op_id}: negative id, proc or step")
-            if end is not None and end <= start:
-                raise HistoryError(f"op {op_id}: end {end} not after start {start}")
-            write = op.kind is OpKind.WRITE
-            if write:
+            kind = op.kind
+            if kind is W:
                 if arg is None:
                     raise HistoryError(f"op {op_id}: Write without arg")
                 if ret is not None:
                     raise HistoryError(f"op {op_id}: Write carries ret")
-            else:
+            elif kind is R:
                 if arg is not None:
                     raise HistoryError(f"op {op_id}: Read carries arg")
                 if (ret is not None) != (end is not None):
                     raise HistoryError(f"op {op_id}: Read must carry ret iff completed")
-            # The op within the history.
-            if op_id in ids:
-                raise HistoryError(f"duplicate op id {op_id}")
-            ids.add(op_id)
+            else:
+                raise HistoryError(f"op {op_id}: kind {kind!r} is not an OpKind")
+            # The op on its variable.
             spec = vars.get(op.var)
             if spec is None:
                 raise HistoryError(f"op {op_id}: undeclared variable {op.var!r}")
-            if write:
+            if kind is W:
                 if proc not in spec.writers:
                     raise HistoryError(f"op {op_id}: proc {proc} is not a writer of {op.var!r}")
                 if not 0 <= arg < spec.domain:
@@ -219,17 +259,6 @@ class History:
                     raise HistoryError(f"op {op_id}: proc {proc} is not a reader of {op.var!r}")
                 if ret is not None and not 0 <= ret < spec.domain:
                     raise HistoryError(f"op {op_id}: ret {ret} outside domain of {op.var!r}")
-            if start in steps:
-                raise HistoryError(f"duplicate step index {start}")
-            steps.add(start)
-            if end is not None:
-                if end in steps:
-                    raise HistoryError(f"duplicate step index {end}")
-                steps.add(end)
-            prev = last.get(proc)
-            if prev is not None and (prev.end is None or prev.end > start):
-                raise HistoryError(f"proc {proc}: ops {prev.op_id} and {op_id} overlap")
-            last[proc] = op
 
     def ops_on(self, var: str) -> tuple[OpRecord, ...]:
         return tuple(o for o in self.ops if o.var == var)

@@ -9,7 +9,7 @@ A scenario is a JSON object::
       "base_semantics": "atomic",              # optional override
       "workload": [[{"kind": "W", "arg": 1}],  # one op list per process
                    [{"kind": "W", "arg": 2}, {"kind": "R"}]],
-      "mode": "enumerate",                     # or "random"
+      "mode": "enumerate",                     # or "random"; informational
       "seed": 0,
       "limits": {"max_executions": 1000000, "max_steps": 10000}
     }

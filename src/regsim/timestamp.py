@@ -35,6 +35,7 @@ from .history import (
     encode_json,
     not_int,
     read_trace,
+    sequential_ops,
     slot_init,
     trace_int,
     write_trace,
@@ -195,44 +196,24 @@ class CtsHistory:
     ops: tuple[CtsOp, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ops", tuple(sorted(self.ops, key=lambda o: o.start)))
         self._validate()
 
     def _validate(self) -> None:
         if type(self.n) is not int:
             raise HistoryError(f"n {self.n!r} is not an integer")
-        steps: set[int] = set()
-        last_per_proc: dict[int, CtsOp] = {}
-        ids: set[int] = set()
+        object.__setattr__(self, "ops", sequential_ops(self.ops))
         for op in self.ops:
-            if (type(op.op_id) is not int or type(op.proc) is not int
-                    or type(op.start) is not int
-                    or op.end is not None and type(op.end) is not int
-                    or op.payload is not None and type(op.payload) is not int):
-                raise HistoryError(not_int(op, ("op_id", "proc", "start"), ("end", "payload")))
-            if op.op_id in ids:
-                raise HistoryError(f"duplicate op id {op.op_id}")
-            ids.add(op.op_id)
+            if op.payload is not None and type(op.payload) is not int:
+                raise HistoryError(not_int(op, (), ("payload",)))
             if op.kind not in (LABELING, SCAN):
                 raise HistoryError(f"op {op.op_id}: unknown kind {op.kind!r}")
             if not 0 <= op.proc < self.n:
                 raise HistoryError(f"op {op.op_id}: proc {op.proc} out of range")
-            if op.end is not None and op.end <= op.start:
-                raise HistoryError(f"op {op.op_id}: end not after start")
             if op.completed:
                 if op.kind == LABELING and op.label is None:
                     raise HistoryError(f"op {op.op_id}: completed Labeling without label")
                 if op.kind == SCAN and op.result is None:
                     raise HistoryError(f"op {op.op_id}: completed Scan without result")
-            for s in (op.start, op.end):
-                if s is not None:
-                    if s in steps:
-                        raise HistoryError(f"duplicate step index {s}")
-                    steps.add(s)
-            prev = last_per_proc.get(op.proc)
-            if prev is not None and (prev.end is None or prev.end > op.start):
-                raise HistoryError(f"proc {op.proc}: ops {prev.op_id}, {op.op_id} overlap")
-            last_per_proc[op.proc] = op
 
 
 def check_cts(h: CtsHistory) -> Verdict:

@@ -253,10 +253,19 @@ def test_enumerate_multiwriter_below_atomic_exit_two(tmp_path, capsys, base_sema
     assert not out.exists()
 
 
-def test_enumerate_requires_enumerate_mode(tmp_path, capsys):
-    cfg = write_config(tmp_path, mode="random")
-    assert main(["enumerate", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "mode 'enumerate'" in capsys.readouterr().err
+def test_enumerate_ignores_mode(tmp_path, capsys):
+    # "mode" is informational: a "random" scenario enumerates like an
+    # "enumerate" one, and the report echoes the key as given.
+    reports = []
+    for mode in ("random", "enumerate"):
+        out = tmp_path / mode
+        cfg = write_config(tmp_path, name=f"{mode}.json", mode=mode)
+        assert main(["enumerate", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["scenario"].pop("mode") == mode
+        reports.append(report)
+    assert capsys.readouterr().err == ""
+    assert reports[0]["executions"] == 8008 and reports[0] == reports[1]
 
 
 # Each of these once ended in a traceback (exit 1) or ran as a truncated

@@ -114,7 +114,7 @@ def test_regular_bit_two_readers_regular():
 
 def test_regular_bit_rejects_multivalued_write():
     spec = build_regular_bit(1)
-    with pytest.raises(EngineError, match="boolean"):
+    with pytest.raises(EngineError, match=r"Write arg 2 is not an integer in \[0, 2\)"):
         random_execution(spec, [[("Write", 2)], []], seed=0)
 
 

@@ -1,13 +1,17 @@
 import dataclasses
 import math
+import re
 import sys
 
 import pytest
 
 from regsim import (
+    BaseRegisterSpec,
     History,
     OpKind,
+    ProtocolSpec,
     SemanticsLevel,
+    build_cts,
     build_multireader,
     build_multiwriter,
     build_raw_register,
@@ -17,7 +21,16 @@ from regsim import (
     random_execution,
     run_schedule,
 )
-from regsim.engine import EngineError, InvalidDecision, _Sim, max_accesses
+from regsim.engine import (
+    EngineError,
+    InvalidDecision,
+    ReadAction,
+    ReturnAction,
+    StepProgram,
+    WriteAction,
+    _Sim,
+    max_accesses,
+)
 
 
 def atomic_bit(n_readers=1):
@@ -400,3 +413,72 @@ def test_enumeration_depth_not_bound_by_recursion_limit():
     res = enumerate_executions(spec, wl, {"max_executions": 1})
     assert res.count == 1 and res.truncated
     assert len(res.executions[0].events) > sys.getrecursionlimit()
+
+
+# -- workload args and program actions ----------------------------------------
+
+
+ENTRY_POINTS = {
+    "run_schedule": lambda spec, wl: run_schedule(spec, wl, []),
+    "random_execution": lambda spec, wl: random_execution(spec, wl, 0),
+    "enumerate_executions": lambda spec, wl: enumerate_executions(spec, wl),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("build, kind, bad", [
+    # cts n=2: a Labeling of 8 once returned label (1, 0) while a Scan
+    # listed owner 0 with label (1, 1) and payload 0, and check_cts passed
+    (lambda: build_cts(2), "Labeling", 8),
+    # multiwriter n=2: a Write of 9 was encoded as tag (1, 1), payload 1
+    (lambda: build_multiwriter(2), "Write", 9),
+    (lambda: build_multiwriter(2), "Write", -1),
+    (lambda: build_multiwriter(2), "Write", True),
+    (lambda: build_multiwriter(2), "Write", 1.0),
+    (lambda: atomic_bit(), "Write", "1"),
+])
+def test_workload_arg_outside_protocol_domain_rejected(entry, build, kind, bad):
+    spec = build()
+    wl = [[(kind, bad)]] + [[] for _ in range(spec.n_processes - 1)]
+    with pytest.raises(EngineError, match=(
+            rf"proc 0: {kind} arg {re.escape(repr(bad))} is not an integer "
+            rf"in \[0, {spec.domain}\)")):
+        ENTRY_POINTS[entry](spec, wl)
+
+
+class BadActionProgram(StepProgram):
+    """Process 0 reads register 0 on begin and returns after it; its
+    ``bad`` action comes from ``begin`` or, after that Read, from
+    ``resume``."""
+
+    def __init__(self, bad, at):
+        self.bad, self.at = bad, at
+
+    def begin(self, proc, mem, kind, arg):
+        return (self.bad, None) if self.at == "begin" else (ReadAction(0), "read")
+
+    def resume(self, proc, mem, state, result):
+        if state == "read":
+            return self.bad, None
+        return ReturnAction(None, mem), None
+
+
+BAD_ACTIONS = {
+    "may not read": ReadAction(1),
+    "does not own": WriteAction(1, 0),
+    "outside domain of": WriteAction(0, 2),
+    "invalid action": ("R", 0),
+}
+
+
+@pytest.mark.parametrize("entry", ["random_execution", "enumerate_executions"])
+@pytest.mark.parametrize("at", ["begin", "resume"])
+@pytest.mark.parametrize("refusal", BAD_ACTIONS)
+def test_program_action_refused(refusal, at, entry):
+    # Registers r0 (owner and only reader process 0) and r1 (process 1's).
+    regs = tuple(BaseRegisterSpec(f"r{p}", p, frozenset({p}), 2, 0, SemanticsLevel.ATOMIC)
+                 for p in range(2))
+    spec = ProtocolSpec("bad", 2, regs, BadActionProgram(BAD_ACTIONS[refusal], at),
+                        {"Read": 3, "Write": 3}, "X", 2, 0, frozenset({0}), frozenset({0, 1}))
+    with pytest.raises(EngineError, match=refusal):
+        ENTRY_POINTS[entry](spec, [[("Read", None)], []])

@@ -4,6 +4,10 @@
   is the two-pass body it replaced, kept verbatim: both must accept and
   reject the same op sets, and name the same fault in a valid history
   given exactly one fault.
+* ``CtsHistory`` validation shares its interval checks with ``History``.
+  ``cts_validate.validate`` is the body it had before, kept verbatim: both
+  must accept and reject the same timestamp histories, and name the same
+  fault, in History's wording, given exactly one.
 * Tags compare as encoded integers: ``_max_tagged``, ``TagCodec.seq`` and
   ``TagCodec.payload`` against ``tag_less`` and ``decode``.
 * The engine's decision surface: SHA-256 digests, computed with the engine
@@ -14,6 +18,7 @@
 
 import dataclasses
 import hashlib
+import re
 import types
 
 import pytest
@@ -21,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim import (
+    CtsHistory,
     History,
     HistoryError,
     OpKind,
@@ -36,7 +42,10 @@ from regsim import (
     random_execution,
 )
 from regsim.constructions import MAX_SEQ, TagCodec, _max_tagged, tag_less
+from regsim.timestamp import LABELING, SCAN
 
+import cts_validate
+from histgen import cts_histories
 from history_validate import validate
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=400)
@@ -135,10 +144,12 @@ ONE_OP_FAULTS = {
 FAULTS = ("dup_id", "dup_step", *ONE_OP_FAULTS)
 
 
-def inject(ops, n_procs, kind, k, i):
+def inject(ops, n_procs, kind, k, i, one_op_faults=ONE_OP_FAULTS):
     """``ops`` with fault ``kind`` placed by the free integers ``k`` and
     ``i``, or None where it has no place."""
     ops = list(ops)
+    if len(ops) < (2 if kind == "dup_id" else 1):
+        return None
     if kind == "dup_id":
         k %= len(ops)
         ops[k] = rep(ops[k], op_id=ops[(k + 1 + i % (len(ops) - 1)) % len(ops)].op_id)
@@ -153,7 +164,7 @@ def inject(ops, n_procs, kind, k, i):
             return s if s is None or s <= t else s - 1
         ops = [rep(o, start=at(o.start), end=at(o.end)) for o in ops]
     else:
-        applies, change = ONE_OP_FAULTS[kind]
+        applies, change = one_op_faults[kind]
         places = [j for j, o in enumerate(ops) if applies(o)]
         if not places:
             return None
@@ -206,6 +217,70 @@ def test_arbitrary_op_sets_rejected_alike(raw):
            for op_id, proc, var, write, start, length, value in raw]
     vars = declared(3)
     assert (fault(one_pass, vars, ops) is None) == (fault(two_pass, vars, ops) is None)
+
+
+#: Faults placed on one op of a timestamp history, as ``ONE_OP_FAULTS``.
+CTS_ONE_OP_FAULTS = {
+    "id_not_int": (lambda o: True, lambda o, i, n: rep(o, op_id=float(o.op_id))),
+    "end_not_int": (lambda o: o.completed, lambda o, i, n: rep(o, end=True if i % 2 else 1.5)),
+    "payload_not_int": (lambda o: o.kind == LABELING,
+                        lambda o, i, n: rep(o, payload=True if i % 2 else 1.0)),
+    "unknown_kind": (lambda o: True, lambda o, i, n: rep(o, kind="Write")),
+    "proc_out_of_range": (lambda o: True, lambda o, i, n: rep(o, proc=n if i % 2 else -1)),
+    "end_not_after_start": (lambda o: o.completed, lambda o, i, n: rep(o, end=o.start - i % 2)),
+    "labeling_without_label": (lambda o: o.kind == LABELING and o.completed,
+                               lambda o, i, n: rep(o, label=None)),
+    "scan_without_result": (lambda o: o.kind == SCAN and o.completed,
+                            lambda o, i, n: rep(o, result=None)),
+    # an op joins another process, which it may overlap
+    "moved_to_other_proc": (lambda o: True, lambda o, i, n: rep(o, proc=(o.proc + 1 + i) % n)),
+    # pending, and so its process's last only if it was already
+    "made_pending": (lambda o: o.completed,
+                     lambda o, i, n: rep(o, end=None, label=None, result=None)),
+}
+CTS_FAULTS = ("dup_id", "dup_step", *CTS_ONE_OP_FAULTS)
+
+
+def shared_cts(n, ops) -> None:
+    CtsHistory(n=n, ops=ops)
+
+
+def verbatim_cts(n, ops) -> None:
+    """``cts_validate.validate``, with the two messages that CtsHistory now
+    words as History does in History's wording."""
+    try:
+        cts_validate.validate(types.SimpleNamespace(n=n, ops=tuple(sorted(ops, key=lambda o: o.start))))
+    except HistoryError as exc:
+        message = re.sub(r"ops (\S+), (\S+) overlap", r"ops \1 and \2 overlap", str(exc))
+        ended = re.match(r"op (\S+): end not after start$", message)
+        if ended:
+            op = next(o for o in ops if repr(o.op_id) == ended[1])
+            message = f"op {ended[1]}: end {op.end} not after start {op.start}"
+        raise HistoryError(message) from None
+
+
+@PINNED
+@given(cts_histories())
+def test_valid_cts_histories_accepted_by_both(h):
+    assert fault(shared_cts, h.n, h.ops) is fault(verbatim_cts, h.n, h.ops) is None
+
+
+@settings(PINNED, max_examples=1000)
+@given(cts_histories(), st.sampled_from(CTS_FAULTS), st.integers(0, 99), st.integers(0, 99))
+def test_single_cts_fault_named_alike(h, kind, k, other):
+    ops = inject(h.ops, h.n, kind, k, other, CTS_ONE_OP_FAULTS)
+    if ops is not None:
+        assert fault(shared_cts, h.n, ops) == fault(verbatim_cts, h.n, ops)
+
+
+@PINNED
+@given(cts_histories(), st.lists(st.tuples(st.sampled_from(CTS_FAULTS), st.integers(0, 99),
+                                           st.integers(0, 99)), min_size=2, max_size=4))
+def test_several_cts_faults_rejected_alike(h, faults):
+    ops = h.ops
+    for kind, k, other in faults:
+        ops = inject(ops, h.n, kind, k, other, CTS_ONE_OP_FAULTS) or ops
+    assert (fault(shared_cts, h.n, ops) is None) == (fault(verbatim_cts, h.n, ops) is None)
 
 
 def test_same_writer_overlapping_writes_rejected_as_overlap():

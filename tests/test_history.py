@@ -377,3 +377,43 @@ def test_trace_bytes_are_pinned():
     )
     assert serialize_trace(h, {"decisions": [[0, None], [1, 2]]}) == GOLDEN_REGISTER_TRACE
     assert parse_trace(GOLDEN_REGISTER_TRACE) == h
+
+
+# -- holes once open: each of these histories validated, or raised TypeError --
+
+
+def test_kind_not_an_op_kind_rejected():
+    # Read by its enum value "R" rather than OpKind.READ: it returned 2, a
+    # value no Write wrote, and passed check_level at ATOMIC and REGULAR.
+    fake = OpRecord(op_id=1, proc=1, var="x", kind="R", start=2, end=3, ret=2)
+    with pytest.raises(HistoryError, match="op 1: kind 'R' is not an OpKind"):
+        hist(w(0, 0, 1, 1), fake)
+
+
+def test_variable_name_not_a_string_rejected():
+    # A variable named 5 validated, and serialize_trace wrote "var":5,
+    # which parse_trace refuses.
+    op = OpRecord(op_id=0, proc=0, var=5, kind=OpKind.WRITE, start=0, end=1, arg=1)
+    with pytest.raises(HistoryError, match="var 5: name is not a string"):
+        History(vars={5: var()}, ops=(op,))
+    with pytest.raises(HistoryError, match="undeclared variable 5"):
+        History(vars={"5": var()}, ops=(op,))
+
+
+@pytest.mark.parametrize("role", ["writers", "readers"])
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None])
+def test_role_member_not_an_integer_rejected(role, bad):
+    # writers={True} validated a Write by process 1 (1 in {True}) and was
+    # serialized as "writers":[true], which parse_trace refuses.
+    roles = {"writers": frozenset({0}), "readers": frozenset({2})}
+    roles[role] = frozenset({bad})
+    with pytest.raises(HistoryError, match=f"{role[:-1]} {bad!r} is not an integer"):
+        VarSpec(domain=3, init=0, **roles)
+
+
+@pytest.mark.parametrize("bad", [None, "0"])
+def test_non_integer_start_rejected_before_sorting(bad):
+    # Sorting by start came first and raised TypeError from sorted().
+    ops = (w(0, 0, 1, 1), r(1, bad, 3, 1), r(2, 4, 5, 1, proc=2))
+    with pytest.raises(HistoryError, match=f"op 1: start {bad!r} is not an integer"):
+        hist(*ops)

@@ -213,6 +213,22 @@ def test_cts_non_integer_op_field_rejected(field, bad):
         CtsHistory(n=2, ops=(CtsOp(**fields),))
 
 
+@pytest.mark.parametrize("bad", [None, "1"])
+def test_cts_non_integer_start_rejected_before_sorting(bad):
+    # Sorting by start came first and raised TypeError from sorted().
+    ops = (CtsOp(0, 0, LABELING, 0, 1, 1, Tag(1, 0)), CtsOp(1, 1, SCAN, bad),
+           CtsOp(2, 0, SCAN, 2))
+    with pytest.raises(HistoryError, match=f"op 1: start {bad!r} is not an integer"):
+        CtsHistory(n=2, ops=ops)
+
+
+def test_cts_overlap_and_end_take_the_register_wording():
+    with pytest.raises(HistoryError, match="^proc 0: ops 0 and 1 overlap$"):
+        CtsHistory(n=1, ops=(CtsOp(0, 0, SCAN, 0), CtsOp(1, 0, SCAN, 1)))
+    with pytest.raises(HistoryError, match="^op 0: end 1 not after start 1$"):
+        CtsHistory(n=1, ops=(CtsOp(0, 0, SCAN, 1, 1, result=()),))
+
+
 @pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
 def test_cts_non_integer_process_count_rejected(bad):
     # n 2.0 was accepted and serialized as {"cts":{"n":2.0}}, which no
