@@ -170,8 +170,6 @@ class _RegularBitProgram(StepProgram):
 
     def begin(self, proc, mem, kind, arg):
         if kind == "Write":
-            if arg not in (0, 1):
-                raise EngineError("regular_bit is boolean")
             if arg == mem:
                 return ReturnAction(None, mem), None
             return WriteAction(0, arg), arg

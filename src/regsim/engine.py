@@ -109,10 +109,12 @@ class ProtocolSpec:
     ``var_name`` names the implemented high-level variable for register
     protocols (None for timestamp systems, which have no single variable).
     ``budgets`` declares the wait-freedom contract: exact worst-case base
-    accesses per operation kind.  ``record_op(op_id, proc, kind, arg, ret,
-    start, end)`` builds a finished operation's history record for a
-    protocol with no ``var_name``; a register protocol's records are
-    OpRecords on ``var_name``.
+    accesses per operation kind.  ``arg_kinds`` names the operation kinds
+    that take an argument (a value in ``[0, domain)``); every other kind
+    takes none.  ``record_op(op_id, proc, kind, arg, ret, start, end)``
+    builds a finished operation's history record for a protocol with no
+    ``var_name``; a register protocol's records are OpRecords on
+    ``var_name``.
     """
 
     name: str
@@ -126,6 +128,7 @@ class ProtocolSpec:
     writers: frozenset[int]
     readers: frozenset[int]
     record_op: Callable[[int, int, str, int | None, object, int, int], object] | None = None
+    arg_kinds: frozenset[str] = frozenset({"Write"})
 
     def __post_init__(self) -> None:
         if self.n_processes < 1:
@@ -270,7 +273,12 @@ class _Sim:
                     raise EngineError(f"proc {proc}: unknown operation kind {kind!r}")
                 if var_name is not None and kind not in _REGISTER_KINDS:
                     raise EngineError(f"proc {proc}: {kind!r} is not a Read or Write of {var_name!r}")
-                if arg is not None and (type(arg) is not int or not 0 <= arg < spec.domain):
+                if kind not in spec.arg_kinds:
+                    if arg is not None:
+                        raise EngineError(f"proc {proc}: {kind} takes no arg, got {arg!r}")
+                elif arg is None:
+                    raise EngineError(f"proc {proc}: {kind} needs an arg")
+                elif type(arg) is not int or not 0 <= arg < spec.domain:
                     raise EngineError(
                         f"proc {proc}: {kind} arg {arg!r} is not an integer in [0, {spec.domain})"
                     )
@@ -582,16 +590,45 @@ def enumerate_executions(
 def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execution:
     """One execution with all decisions drawn from ``random.Random(seed)``
     (CPython's Mersenne Twister): at every decision point one entry of the
-    flattened, deterministically ordered (process, value) choice list is
-    picked uniformly, so it needs no :meth:`_Sim.check`.  Identical seeds
-    give identical executions."""
-    rng = random.Random(seed)
+    flattened, deterministically ordered (process, value) choice list of
+    :meth:`_Sim.choices` is picked uniformly, so it needs no
+    :meth:`_Sim.check`.  The index is drawn as ``randrange(n)`` draws it on
+    CPython 3.10-3.12 (``getrandbits(n.bit_length())`` until it is below
+    ``n``), so identical seeds give identical executions on each of them.
+
+    The walk keeps its decision surface as it goes: ``live``, the processes
+    with work left, in process order, and ``adversary``, those whose
+    safe/regular base Read is pending.  Only the process that stepped can
+    join or leave either, and while ``adversary`` is empty the choice list
+    is exactly ``(p, None)`` for each ``p`` in ``live``, so
+    :meth:`_Sim.choices` is built only while the adversary has a say."""
+    getrandbits = random.Random(seed).getrandbits
     sim = _Sim(spec, workload)
-    while True:
-        choices = sim.choices()
-        if not choices:
-            return sim.snapshot()
-        sim.apply(*choices[rng.randrange(len(choices))])
+    apply, procs, n_ops, weak = sim.apply, sim.procs, sim.n_ops, sim.weak
+    live = [proc for proc in range(spec.n_processes) if n_ops[proc]]
+    adversary: set[int] = set()
+    while live:
+        choices = sim.choices() if adversary else live
+        n = len(choices)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        if adversary:
+            proc, value = choices[i]
+            adversary.discard(proc)
+        else:
+            proc, value = live[i], None
+        apply(proc, value)
+        p = procs[proc]
+        phase = p.phase
+        if phase == _MID:
+            action = p.action
+            if type(action) is ReadAction and weak[action.reg]:
+                adversary.add(proc)
+        elif phase == _IDLE and p.opidx == n_ops[proc]:
+            live.remove(proc)
+    return sim.snapshot()
 
 
 # ---------------------------------------------------------------------------

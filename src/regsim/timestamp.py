@@ -158,6 +158,7 @@ def build_cts(n: int, domain: int = 8) -> ProtocolSpec:
         writers=everyone,
         readers=everyone,
         record_op=_cts_record,
+        arg_kinds=frozenset({LABELING}),
     )
 
 

@@ -446,6 +446,25 @@ def test_workload_arg_outside_protocol_domain_rejected(entry, build, kind, bad):
         ENTRY_POINTS[entry](spec, wl)
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("build, kind, arg, refusal", [
+    # each Write or Labeling of None once raised a TypeError in the program
+    (lambda: build_multiwriter(2), "Write", None, "Write needs an arg"),
+    (lambda: atomic_bit(), "Write", None, "Write needs an arg"),
+    (lambda: build_cts(2), "Labeling", None, "Labeling needs an arg"),
+    # and a Read's or Scan's arg was ignored
+    (lambda: build_multiwriter(2), "Read", 1, "Read takes no arg, got 1"),
+    (lambda: atomic_bit(), "Read", 0, "Read takes no arg, got 0"),
+    (lambda: build_cts(2), "Scan", 1, "Scan takes no arg, got 1"),
+])
+def test_workload_arg_presence_follows_the_op_kind(entry, build, kind, arg, refusal):
+    spec = build()
+    wl = [[] for _ in range(spec.n_processes)]
+    wl[1 if kind == "Read" else 0] = [(kind, arg)]
+    with pytest.raises(EngineError, match=rf"proc \d: {refusal}$"):
+        ENTRY_POINTS[entry](spec, wl)
+
+
 class BadActionProgram(StepProgram):
     """Process 0 reads register 0 on begin and returns after it; its
     ``bad`` action comes from ``begin`` or, after that Read, from
