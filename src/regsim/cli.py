@@ -59,8 +59,8 @@ def _write_execution_trace(execution: Execution, path: Path) -> None:
 
 def _run_engine(run):
     """Returns (result, None), or (None, exit code) after printing one
-    ``error:`` line: a protocol the engine rejects is an input error, and
-    running out of memory cuts the run short like a limit."""
+    ``error:`` line: a protocol or workload the engine rejects is an input
+    error, and running out of memory cuts the run short like a limit."""
     try:
         return run(), None
     except EngineError as exc:
@@ -197,7 +197,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         text = Path(args.trace).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     level = args.level

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .history import History, OpKind, OpRecord, SemanticsLevel, VarSpec, slot_init
+from .history import History, HistoryError, OpKind, OpRecord, SemanticsLevel, VarSpec, slot_init
 
 
 class EngineError(RuntimeError):
@@ -114,7 +114,8 @@ class ProtocolSpec:
     takes none.  ``record_op(op_id, proc, kind, arg, ret, start, end)``
     builds a finished operation's history record for a protocol with no
     ``var_name``; a register protocol's records are OpRecords on
-    ``var_name``.
+    ``var_name``, whose declaration is checked once, here, by the rule
+    every History applies to its variables.
     """
 
     name: str
@@ -136,6 +137,11 @@ class ProtocolSpec:
         names = [r.name for r in self.registers]
         if len(set(names)) != len(names):
             raise EngineError("duplicate base register names")
+        if self.var_name is not None:
+            try:
+                self._high_vars[self.var_name]._validate(self.var_name)
+            except HistoryError as exc:
+                raise EngineError(str(exc)) from None
 
     @cached_property
     def _high_vars(self) -> dict[str, VarSpec]:

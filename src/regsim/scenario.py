@@ -14,11 +14,17 @@ A scenario is a JSON object::
       "limits": {"max_executions": 1000000, "max_steps": 10000}
     }
 
-``n``, ``domain``, ``seed``, the ``limits`` values and each ``arg`` are JSON
-integers (not bools, floats or strings).  For ``regular_bit``,
-``raw_register`` and ``multireader`` the size ``n`` counts readers and the
-process list is writer first, then readers.  Op kinds: W/R for register
-protocols, L/S for the timestamp system.
+``n``, ``domain``, ``seed`` and the ``limits`` values are JSON integers
+(not bools, floats or strings).  For ``regular_bit``, ``raw_register`` and
+``multireader`` the size ``n`` counts readers and the process list is writer
+first, then readers.  Op kinds: W/R for register protocols, L/S for the
+timestamp system.
+
+This module only parses: it checks the JSON's shape and builds the
+protocol.  Whether the workload fits the protocol (the process count, each
+op kind, which kinds take an ``arg`` and that an ``arg`` is an integer in
+the protocol's domain) is checked by the engine when a run starts, and
+reported as an :class:`~regsim.engine.EngineError`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import constructions, timestamp
 from .engine import ProtocolSpec
@@ -44,21 +50,27 @@ _KIND_ALIASES = {
     "S": timestamp.SCAN, timestamp.SCAN: timestamp.SCAN,
 }
 
-CONSTRUCTIONS = (
-    "regular_bit",
-    "raw_register",
-    "multireader",
-    "multireader_nowriteback",
-    "multiwriter",
-    "cts",
-)
+_BUILDERS: dict[str, Callable[[Scenario], ProtocolSpec]] = {
+    "regular_bit": lambda sc: constructions.build_regular_bit(sc.n),
+    "raw_register": lambda sc: constructions.build_raw_register(
+        sc.n, domain=sc.domain, semantics=sc.base_semantics or SemanticsLevel.SAFE),
+    "multireader": lambda sc: constructions.build_multireader(sc.n, domain=sc.domain),
+    "multireader_nowriteback": lambda sc: constructions.build_multireader(
+        sc.n, domain=sc.domain, writeback=False),
+    "multiwriter": lambda sc: constructions.build_multiwriter(sc.n, domain=sc.domain),
+    "cts": lambda sc: timestamp.build_cts(sc.n, domain=sc.domain),
+}
+
+CONSTRUCTIONS = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
 class Scenario:
     construction: str
     n: int
-    workload: tuple[tuple[tuple[str, int | None], ...], ...]
+    # Per process, (kind, arg) pairs; an arg is the JSON value as read
+    # (None when absent), unchecked until the engine sees it.
+    workload: tuple[tuple[tuple[str, object], ...], ...]
     domain: int = 8
     base_semantics: SemanticsLevel | None = None
     mode: str = "enumerate"
@@ -88,7 +100,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: not UTF-8, not JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     return scenario_from_dict(raw)
 
@@ -130,15 +143,7 @@ def scenario_from_dict(raw: object) -> Scenario:
             kind = _KIND_ALIASES.get(op["kind"]) if isinstance(op["kind"], str) else None
             if kind is None:
                 raise ScenarioError(f"proc {proc}: unknown op kind {op['kind']!r}")
-            arg = op.get("arg")
-            if kind in ("Write", timestamp.LABELING):
-                if arg is None:
-                    raise ScenarioError(f"proc {proc}: {kind} needs an 'arg'")
-                if type(arg) is not int:
-                    raise ScenarioError(f"proc {proc}: arg {arg!r} is not an integer")
-            elif arg is not None:
-                raise ScenarioError(f"proc {proc}: {kind} takes no 'arg'")
-            parsed.append((kind, arg))
+            parsed.append((kind, op.get("arg")))
         workload.append(tuple(parsed))
     limits = raw.get("limits", {})
     if not isinstance(limits, dict):
@@ -158,23 +163,10 @@ def scenario_from_dict(raw: object) -> Scenario:
 def build_protocol(sc: Scenario) -> ProtocolSpec:
     """Instantiate the scenario's construction, applying any base-register
     semantics override (an experimentation knob: it weakens or strengthens
-    every base register of the protocol uniformly)."""
+    every base register of the protocol uniformly).  The workload is not
+    checked here; the engine checks it against the protocol."""
     try:
-        if sc.construction == "regular_bit":
-            spec = constructions.build_regular_bit(sc.n)
-        elif sc.construction == "raw_register":
-            spec = constructions.build_raw_register(
-                sc.n, domain=sc.domain,
-                semantics=sc.base_semantics or SemanticsLevel.SAFE,
-            )
-        elif sc.construction == "multireader":
-            spec = constructions.build_multireader(sc.n, domain=sc.domain)
-        elif sc.construction == "multireader_nowriteback":
-            spec = constructions.build_multireader(sc.n, domain=sc.domain, writeback=False)
-        elif sc.construction == "multiwriter":
-            spec = constructions.build_multiwriter(sc.n, domain=sc.domain)
-        else:
-            spec = timestamp.build_cts(sc.n, domain=sc.domain)
+        spec = _BUILDERS[sc.construction](sc)
     except Exception as exc:
         raise ScenarioError(f"cannot build {sc.construction}: {exc}") from None
     if sc.base_semantics is not None and sc.construction != "raw_register":
@@ -182,15 +174,4 @@ def build_protocol(sc: Scenario) -> ProtocolSpec:
             dataclasses.replace(r, semantics=sc.base_semantics) for r in spec.registers
         )
         spec = dataclasses.replace(spec, registers=regs)
-    if len(sc.workload) != spec.n_processes:
-        raise ScenarioError(
-            f"workload lists {len(sc.workload)} processes, "
-            f"{sc.construction} with n={sc.n} has {spec.n_processes}"
-        )
-    for proc, ops in enumerate(sc.workload):
-        for kind, arg in ops:
-            if kind not in spec.budgets:
-                raise ScenarioError(f"proc {proc}: {sc.construction} has no {kind} operation")
-            if arg is not None and not 0 <= arg < spec.domain:
-                raise ScenarioError(f"proc {proc}: arg {arg} outside domain {spec.domain}")
     return spec

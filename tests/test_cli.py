@@ -282,6 +282,20 @@ BAD_SCENARIOS = [
     pytest.param({"n": True}, id="n-bool"),
     pytest.param({"workload": [[{"kind": "W", "arg": 1.9}], [{"kind": "R"}]]}, id="arg-float"),
     pytest.param("[" * 100_000, id="nested-too-deep"),
+    pytest.param('{"n": ' + "1" * 5000 + "}", id="n-too-many-digits"),
+    pytest.param({"domain": 1, "workload": [[{"kind": "W", "arg": 0}], [{"kind": "R"}]]},
+                 id="domain-one"),
+    # workloads that do not fit the construction, refused by the engine
+    pytest.param({"workload": [[{"kind": "W"}], [{"kind": "R"}]]}, id="write-without-arg"),
+    pytest.param({"workload": [[{"kind": "W", "arg": 1}], [{"kind": "R", "arg": 1}]]},
+                 id="read-with-arg"),
+    pytest.param({"workload": [[{"kind": "W", "arg": 99}], [{"kind": "R"}]]},
+                 id="arg-outside-domain"),
+    pytest.param({"workload": [[{"kind": "L", "arg": 1}], [{"kind": "R"}]]},
+                 id="labeling-on-multiwriter"),
+    pytest.param({"construction": "cts", "workload": [[{"kind": "W", "arg": 1}], [{"kind": "S"}]]},
+                 id="write-on-cts"),
+    pytest.param({"workload": [[{"kind": "W", "arg": 1}]]}, id="one-process-short"),
 ]
 
 
@@ -296,6 +310,24 @@ def test_malformed_scenario_exit_two(tmp_path, capsys, command, bad):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_workload_fault_reported_by_the_engine(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, workload=[[{"kind": "W"}], [{"kind": "R"}]])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: proc 0: Write needs an arg\n"
+
+
+def test_input_file_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"construction": "caf\xe9"}')
+    for argv in (["simulate", "--config", str(path), "--out", str(tmp_path / "o")],
+                 ["enumerate", "--config", str(path), "--out", str(tmp_path / "o")],
+                 ["check", str(path), "--level", "atomic"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):

@@ -118,6 +118,18 @@ def test_regular_bit_rejects_multivalued_write():
         random_execution(spec, [[("Write", 2)], []], seed=0)
 
 
+@pytest.mark.parametrize("build", [
+    build_multiwriter,
+    build_multireader,
+    lambda n, domain: build_multireader(n, domain=domain, writeback=False),
+], ids=["multiwriter", "multireader", "multireader_nowriteback"])
+def test_tag_constructions_refuse_a_one_value_domain(build):
+    # The tag codec's base domain is large enough for any payload domain, so
+    # only the implemented variable's declaration can refuse this one.
+    with pytest.raises(EngineError, match="var X: domain 1 < 2"):
+        build(2, domain=1)
+
+
 # -- multireader ------------------------------------------------------------
 
 
