@@ -8,8 +8,12 @@ Three subcommands::
     regsim check TRACE --level safe|regular|atomic|classify|cts
 
 Exit codes are a stable contract: 0 pass, 1 semantic failure, 2 input
-error (a malformed scenario or trace among them), 3 resource truncation
-(a limit, or running out of memory).  Reports are machine-readable JSON
+error, 3 resource truncation (a limit, or running out of memory).  An
+input error is a malformed scenario or trace, a workload op by a process
+outside its role (a Read by the writer, say), a limit below 1, or a file
+the CLI cannot read or write; it prints one ``error:`` line.  The
+contract is decided in :func:`main` alone: an exception it does not map
+is a bug and ends in a traceback.  Reports are machine-readable JSON
 with a one-line human summary on stdout; counterexamples are full traces
 that re-fail under ``regsim check`` at the same level.
 """
@@ -33,7 +37,7 @@ from .engine import (
     max_accesses,
     random_execution,
 )
-from .history import HistoryError, SemanticsLevel, parse_trace, serialize_trace
+from .history import HistoryError, SemanticsLevel, TraceError, parse_trace, serialize_trace
 from .scenario import Scenario, ScenarioError, build_protocol, load_scenario
 
 EXIT_PASS = 0
@@ -57,31 +61,11 @@ def _write_execution_trace(execution: Execution, path: Path) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _run_engine(run):
-    """Returns (result, None), or (None, exit code) after printing one
-    ``error:`` line: a protocol or workload the engine rejects is an input
-    error, and running out of memory cuts the run short like a limit."""
-    try:
-        return run(), None
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_INPUT
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return None, EXIT_TRUNCATED
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        sc = load_scenario(args.config)
-        spec = build_protocol(sc)
-    except (ScenarioError, HistoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    sc = load_scenario(args.config)
+    spec = build_protocol(sc)
     seed = sc.seed if args.seed is None else args.seed
-    execution, code = _run_engine(lambda: random_execution(spec, sc.workload, seed))
-    if code is not None:
-        return code
+    execution = random_execution(spec, sc.workload, seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
@@ -105,7 +89,7 @@ def _make_execution_checker(sc: Scenario, spec: ProtocolSpec, level: str):
         def check(execution: Execution) -> Verdict:
             return timestamp.check_cts(timestamp.extract_cts_history(execution))
 
-    elif level in _REGISTER_LEVELS:
+    else:
         if sc.construction == "cts":
             raise ScenarioError("the cts construction is checked with --check cts")
         sem = SemanticsLevel.parse(level)
@@ -118,20 +102,14 @@ def _make_execution_checker(sc: Scenario, spec: ProtocolSpec, level: str):
         def check(execution: Execution) -> Verdict:
             return check_level(extract_history(execution, "high"), sem)
 
-    else:
-        raise ScenarioError(f"unknown check level {level!r}")
     return check
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        sc = load_scenario(args.config)
-        spec = build_protocol(sc)
-        level = args.check or ("cts" if sc.construction == "cts" else "atomic")
-        check = _make_execution_checker(sc, spec, level)
-    except (ScenarioError, HistoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    sc = load_scenario(args.config)
+    spec = build_protocol(sc)
+    level = args.check or ("cts" if sc.construction == "cts" else "atomic")
+    check = _make_execution_checker(sc, spec, level)
 
     limits = dict(sc.limits)
     if args.max_executions is not None:
@@ -156,10 +134,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 counterexample = execution
                 first_failure = {"op": verdict.violating_op, "reason": verdict.reason}
 
-    result, code = _run_engine(lambda: enumerate_executions(spec, sc.workload, limits, visit=visit))
-    if code is not None:
-        return code
-
+    result = enumerate_executions(spec, sc.workload, limits, visit=visit)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cx_path = None
@@ -198,22 +173,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         text = Path(args.trace).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read trace: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise TraceError(f"cannot read trace: {exc}") from None
     level = args.level
-    try:
-        if level == "cts":
-            verdict = timestamp.check_cts(timestamp.parse_cts_trace(text))
-        else:
-            h = parse_trace(text)
-            if level == "classify":
-                top = classify(h)
-                print(top.name.lower() if top else "none")
-                return EXIT_PASS
-            verdict = check_level(h, SemanticsLevel.parse(level))
-    except HistoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if level == "cts":
+        verdict = timestamp.check_cts(timestamp.parse_cts_trace(text))
+    else:
+        h = parse_trace(text)
+        if level == "classify":
+            top = classify(h)
+            print(top.name.lower() if top else "none")
+            return EXIT_PASS
+        verdict = check_level(h, SemanticsLevel.parse(level))
     if verdict.ok:
         print(f"{level}: pass")
         return EXIT_PASS
@@ -255,8 +225,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Runs one subcommand and decides its exit code: the subcommand's own
+    code, 2 after one ``error:`` line for an input the library refuses or a
+    file the CLI cannot read or write, 3 when memory runs out.  Any other
+    exception propagates: it is a bug, not an input error."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ScenarioError, HistoryError, EngineError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_TRUNCATED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -185,9 +185,6 @@ class HLOp:
 # (the latter two only for operations that perform no base access).
 Event = tuple[int, int, str, int | None, str | None, int | None, int]
 
-#: The operation kinds of a protocol that implements a register.
-_REGISTER_KINDS = frozenset({"Write", "Read"})
-
 #: One decision: (process, adversary_value_or_None).
 Decision = tuple[int, int | None]
 
@@ -273,12 +270,21 @@ class _Sim:
                 f"workload lists {len(workload)} processes, protocol has {spec.n_processes}"
             )
         var_name = spec.var_name
+        # A register protocol's op kinds, each with the processes that may run it.
+        roles = {"Write": ("writer", spec.writers), "Read": ("reader", spec.readers)}
         for proc, ops in enumerate(workload):
             for kind, arg in ops:
                 if kind not in spec.budgets:
                     raise EngineError(f"proc {proc}: unknown operation kind {kind!r}")
-                if var_name is not None and kind not in _REGISTER_KINDS:
-                    raise EngineError(f"proc {proc}: {kind!r} is not a Read or Write of {var_name!r}")
+                if var_name is not None:
+                    if kind not in roles:
+                        raise EngineError(
+                            f"proc {proc}: {kind!r} is not a Read or Write of {var_name!r}"
+                        )
+                    role, procs = roles[kind]
+                    if proc not in procs:
+                        raise EngineError(f"proc {proc}: {kind} by a process that is not a "
+                                          f"{role} of {var_name!r}")
                 if kind not in spec.arg_kinds:
                     if arg is not None:
                         raise EngineError(f"proc {proc}: {kind} takes no arg, got {arg!r}")
@@ -533,13 +539,16 @@ def enumerate_executions(
     one, each execution is passed to it instead (return False to stop
     early).  ``limits`` may bound ``max_executions`` (tree is flagged
     truncated when more leaves exist) and ``max_steps`` (branches longer
-    than this are cut and flagged).
+    than this are cut and flagged); each limit is an int of at least 1.
     """
     limits = dict(limits or {})
-    max_exec = int(limits.pop("max_executions", DEFAULT_MAX_EXECUTIONS))
-    max_steps = int(limits.pop("max_steps", DEFAULT_MAX_STEPS))
+    max_exec = limits.pop("max_executions", DEFAULT_MAX_EXECUTIONS)
+    max_steps = limits.pop("max_steps", DEFAULT_MAX_STEPS)
     if limits:
         raise EngineError(f"unknown limit keys: {sorted(limits)}")
+    for name, value in (("max_executions", max_exec), ("max_steps", max_steps)):
+        if type(value) is not int or value < 1:
+            raise EngineError(f"limit {name} {value!r} is not an integer >= 1")
     result = EnumerationResult()
     cut_executions = cut_steps = False
     collected: list[Execution] = []

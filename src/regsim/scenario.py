@@ -22,9 +22,11 @@ timestamp system.
 
 This module only parses: it checks the JSON's shape and builds the
 protocol.  Whether the workload fits the protocol (the process count, each
-op kind, which kinds take an ``arg`` and that an ``arg`` is an integer in
-the protocol's domain) is checked by the engine when a run starts, and
-reported as an :class:`~regsim.engine.EngineError`.
+op kind, that a Write's process is a writer and a Read's a reader, which
+kinds take an ``arg`` and that an ``arg`` is an integer in the protocol's
+domain) is checked by the engine when a run starts, and so is that each
+limit is at least 1; both are reported as an
+:class:`~regsim.engine.EngineError`.
 """
 
 from __future__ import annotations

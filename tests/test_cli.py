@@ -79,12 +79,25 @@ def test_out_of_memory_exit_three(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "random_execution", exhausted)
     monkeypatch.setattr(cli, "enumerate_executions", exhausted)
+    monkeypatch.setattr(cli, "parse_trace", exhausted)
     cfg = write_config(tmp_path)
     for argv in (["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
-                 ["enumerate", "--config", cfg, "--out", str(tmp_path / "e")]):
+                 ["enumerate", "--config", cfg, "--out", str(tmp_path / "e")],
+                 ["check", cfg, "--level", "atomic"]):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_unusable_out_exit_two(tmp_path, capsys, command):
+    # --out under a file once ended in a NotADirectoryError traceback (exit 1)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "out"
+    assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # -- enumerate ----------------------------------------------------------------
@@ -154,6 +167,21 @@ def test_enumerate_unknown_limit_key_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "max_execution" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags, overrides, refusal", [
+    # each once reported 0 executions [TRUNCATED] and exited 3
+    (["--max-executions", "0"], {}, "limit max_executions 0"),
+    (["--max-executions", "-5"], {}, "limit max_executions -5"),
+    (["--max-steps", "-1"], {}, "limit max_steps -1"),
+    ([], {"limits": {"max_steps": -1}}, "limit max_steps -1"),
+])
+def test_enumerate_limit_below_one_exit_two(tmp_path, capsys, flags, overrides, refusal):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", cfg, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal} is not an integer >= 1\n"
+    assert not out.exists()
 
 
 def test_enumerate_deep_workload_truncates_exit_three(tmp_path):
@@ -296,6 +324,12 @@ BAD_SCENARIOS = [
     pytest.param({"construction": "cts", "workload": [[{"kind": "W", "arg": 1}], [{"kind": "S"}]]},
                  id="write-on-cts"),
     pytest.param({"workload": [[{"kind": "W", "arg": 1}]]}, id="one-process-short"),
+    # a Read by the writer once ended in KeyError: 0 in the program
+    pytest.param({"construction": "multireader", "workload": [[{"kind": "R"}], [], []]},
+                 id="read-by-multireader-writer"),
+    pytest.param({"construction": "multireader_nowriteback",
+                  "workload": [[{"kind": "R"}], [], []]},
+                 id="read-by-nowriteback-writer"),
 ]
 
 

@@ -149,6 +149,15 @@ def test_enumeration_truncates_at_max_steps():
     assert res.truncated_by == ("max_steps",)
 
 
+@pytest.mark.parametrize("key", ["max_executions", "max_steps"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "3"])
+def test_enumeration_refuses_a_limit_below_one_or_not_an_int(key, bad):
+    # each once ran: 0 and -1 as an empty truncated tree, 2.5 as 2, True as 1
+    with pytest.raises(EngineError, match=rf"^limit {key} {re.escape(repr(bad))} "
+                                          r"is not an integer >= 1$"):
+        enumerate_executions(atomic_bit(), [[("Write", 1)], [("Read", None)]], {key: bad})
+
+
 def test_visitor_early_stop():
     spec = atomic_bit()
     seen = []
@@ -462,6 +471,25 @@ def test_workload_arg_presence_follows_the_op_kind(entry, build, kind, arg, refu
     wl = [[] for _ in range(spec.n_processes)]
     wl[1 if kind == "Read" else 0] = [(kind, arg)]
     with pytest.raises(EngineError, match=rf"proc \d: {refusal}$"):
+        ENTRY_POINTS[entry](spec, wl)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("build, proc, kind, role", [
+    # a Read by multireader's writer once raised KeyError: 0 in the program
+    pytest.param(lambda: build_multireader(2), 0, "Read", "reader", id="multireader-read"),
+    pytest.param(lambda: build_multireader(2, writeback=False), 0, "Read", "reader",
+                 id="nowriteback-read"),
+    pytest.param(lambda: build_multireader(2), 1, "Write", "writer", id="multireader-write"),
+    pytest.param(lambda: atomic_bit(), 1, "Write", "writer", id="raw-register-write"),
+    pytest.param(lambda: atomic_bit(), 0, "Read", "reader", id="raw-register-read"),
+])
+def test_workload_op_outside_its_process_role_rejected(entry, build, proc, kind, role):
+    spec = build()
+    wl = [[] for _ in range(spec.n_processes)]
+    wl[proc] = [(kind, 1 if kind == "Write" else None)]
+    with pytest.raises(EngineError, match=(
+            rf"^proc {proc}: {kind} by a process that is not a {role} of 'X'$")):
         ENTRY_POINTS[entry](spec, wl)
 
 
