@@ -38,7 +38,7 @@ from .engine import (
     random_execution,
 )
 from .history import HistoryError, SemanticsLevel, TraceError, parse_trace, serialize_trace
-from .scenario import Scenario, ScenarioError, build_protocol, load_scenario
+from .scenario import ScenarioError, build_protocol, load_scenario
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -77,26 +77,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _make_execution_checker(sc: Scenario, spec: ProtocolSpec, level: str):
-    """Returns check(execution) -> Verdict for the scenario at ``level``.
+def _make_execution_checker(spec: ProtocolSpec, level: str):
+    """Returns check(execution) -> Verdict for the protocol at ``level``.
     Safe and regular are per-Read conditions defined for one writer only,
     so a multi-writer construction is refused at those levels here rather
     than by the checker at the first execution."""
     if level == "cts":
-        if sc.construction != "cts":
+        if spec.var_name is not None:
             raise ScenarioError("--check cts requires the cts construction")
 
         def check(execution: Execution) -> Verdict:
             return timestamp.check_cts(timestamp.extract_cts_history(execution))
 
     else:
-        if sc.construction == "cts":
+        if spec.var_name is None:
             raise ScenarioError("the cts construction is checked with --check cts")
         sem = SemanticsLevel.parse(level)
         if sem is not SemanticsLevel.ATOMIC and len(spec.writers) > 1:
             raise ScenarioError(
                 f"{level} classification is undefined on the multi-writer "
-                f"{sc.construction} construction; use --check atomic"
+                f"{spec.name} construction; use --check atomic"
             )
 
         def check(execution: Execution) -> Verdict:
@@ -108,8 +108,8 @@ def _make_execution_checker(sc: Scenario, spec: ProtocolSpec, level: str):
 def cmd_enumerate(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     spec = build_protocol(sc)
-    level = args.check or ("cts" if sc.construction == "cts" else "atomic")
-    check = _make_execution_checker(sc, spec, level)
+    level = args.check or ("cts" if spec.var_name is None else "atomic")
+    check = _make_execution_checker(spec, level)
 
     limits = dict(sc.limits)
     if args.max_executions is not None:

@@ -223,24 +223,32 @@ class EnumerationResult:
 class _Choices(Sequence):
     """A node's (proc, value) decisions, flattened lazily from (proc, values)
     branches, values ``(None,)`` for a scheduler step.  A safe Read's values
-    stay a ``range``: 2^24 of them on a tag-encoded multiwriter n=2."""
+    stay a ``range(domain)``: 2^24 of them on a tag-encoded multiwriter n=2,
+    and more than ``len()`` can count on a larger domain, so each branch's
+    size is kept as a plain int, read as ``size`` rather than ``len()``."""
 
     def __init__(self, branches: list[tuple[int, Sequence[int | None]]]):
-        self.branches = branches
-        self.size = sum(len(values) for _, values in branches)
+        self.branches = [
+            (proc, values, values.stop if type(values) is range else len(values))
+            for proc, values in branches
+        ]
+        self.size = sum(size for _, _, size in self.branches)
 
     def __len__(self) -> int:
         return self.size
 
+    def __bool__(self) -> bool:
+        return True  # built only while some process has a choice
+
     def __getitem__(self, i: int) -> Decision:
-        for proc, values in self.branches:
-            if 0 <= i < len(values):
+        for proc, values, size in self.branches:
+            if 0 <= i < size:
                 return proc, values[i]
-            i -= len(values)
+            i -= size
         raise IndexError(i)
 
     def __iter__(self) -> Iterator[Decision]:
-        return ((proc, v) for proc, values in self.branches for v in values)
+        return ((proc, v) for proc, values, _ in self.branches for v in values)
 
 
 _IDLE, _PENDING_INVOKE, _MID, _ENDING = range(4)
@@ -624,7 +632,7 @@ def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execu
     adversary: set[int] = set()
     while live:
         choices = sim.choices() if adversary else live
-        n = len(choices)
+        n = choices.size if adversary else len(live)
         k = n.bit_length()
         i = getrandbits(k)
         while i >= n:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from regsim import cli
+from regsim import cli, scenario
 from regsim.cli import main
 
 
@@ -87,6 +87,30 @@ def test_out_of_memory_exit_three(tmp_path, monkeypatch, capsys):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_builder_bug_is_not_an_input_error(tmp_path, monkeypatch, capsys, command):
+    # A builder's own fault once printed "cannot build multiwriter: 'bug'"
+    # and exited 2; only an EngineError from a builder is an input error.
+    def broken(sc):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(scenario._BUILDERS, "multiwriter", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main([command, "--config", write_config(tmp_path), "--out", str(tmp_path / "o")])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_builder_out_of_memory_exit_three(tmp_path, monkeypatch, capsys, command):
+    # once "error: cannot build multiwriter: " and exit 2
+    def exhausted(sc):
+        raise MemoryError
+
+    monkeypatch.setitem(scenario._BUILDERS, "multiwriter", exhausted)
+    assert main([command, "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "enumerate"])
@@ -243,6 +267,43 @@ def test_enumerate_safe_tag_encoded_bases_truncates_lazily(tmp_path):
     assert report["truncated_by"] == ["max_executions"] and report["executions"] == 5
 
 
+# Safe bases with more values than len() can count (sys.maxsize): each once
+# ended in an OverflowError traceback (exit 1).  The multiwriter's encoded
+# domain is 2^20 x 2 x 10^13.
+HUGE_SAFE_RAW = {"construction": "raw_register", "n": 1, "domain": 10**20,
+                 "workload": [[{"kind": "W", "arg": 1}], [{"kind": "R"}]]}
+HUGE_SAFE_MULTIWRITER = {"domain": 10**13}
+
+
+@pytest.mark.parametrize("overrides, code", [
+    pytest.param(HUGE_SAFE_RAW, 1, id="raw_register"),  # a safe register is not atomic
+    pytest.param(HUGE_SAFE_MULTIWRITER, 3, id="multiwriter"),
+])
+def test_enumerate_safe_domain_beyond_sys_maxsize(tmp_path, capsys, overrides, code):
+    cfg = write_config(tmp_path, base_semantics="safe", **overrides)
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", cfg, "--max-executions", "100",
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["executions"] == 100 and report["truncated_by"] == ["max_executions"]
+    if code == 1:
+        assert main(["check", report["counterexample"], "--level", "atomic"]) == 1
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(HUGE_SAFE_RAW, id="raw_register"),
+    pytest.param(HUGE_SAFE_MULTIWRITER, id="multiwriter"),
+])
+def test_simulate_safe_domain_beyond_sys_maxsize(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, base_semantics="safe", **overrides)
+    for seed in range(8):
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        assert (out / "trace.jsonl").exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_enumerate_cts_scenario(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -330,6 +391,12 @@ BAD_SCENARIOS = [
     pytest.param({"construction": "multireader_nowriteback",
                   "workload": [[{"kind": "R"}], [], []]},
                  id="read-by-nowriteback-writer"),
+    # misspelt keys, once dropped without a word: the run passed over
+    # atomic bases, or with the default limits
+    pytest.param({"base_semantic": "safe"}, id="base-semantics-misspelt"),
+    pytest.param({"limit": {"max_executions": 1}}, id="limits-misspelt"),
+    pytest.param({"workload": [[{"kind": "W", "arg": 1, "value": 2}], [{"kind": "R"}]]},
+                 id="op-key-unknown"),
 ]
 
 

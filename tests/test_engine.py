@@ -362,6 +362,26 @@ def test_safe_branch_kept_lazy_in_flattened_order():
         choices[1 + domain]
 
 
+def test_safe_domain_beyond_sys_maxsize_walked_lazily():
+    # len() cannot count a range of more than sys.maxsize values: a safe
+    # Read overlapping a Write on such a register once ended in
+    # OverflowError under each entry point.
+    domain = 10**20
+    assert domain > sys.maxsize
+    spec = build_raw_register(1, domain=domain, semantics=SemanticsLevel.SAFE)
+    wl = [[("Write", 1)], [("Read", None)]]
+    e = run_schedule(spec, wl, [(0, None), (1, None), (1, domain - 1), (0, None)])
+    assert [op.ret for op in e.ops if op.kind == "Read"] == [domain - 1]
+    with pytest.raises(InvalidDecision, match="not feasible"):
+        run_schedule(spec, wl, [(0, None), (1, None), (1, domain), (0, None)])
+    e = random_execution(spec, wl, 4)
+    assert e.decisions[2] == (1, 68644335892757550790)
+    assert run_schedule(spec, wl, e.decisions) == e
+    result = enumerate_executions(spec, wl, {"max_executions": 5})
+    assert result.count == 5 and result.truncated_by == ("max_executions",)
+    assert [x.decisions[-1] for x in result.executions[1:]] == [(1, v) for v in range(4)]
+
+
 def recursive_enumeration(spec, workload, max_exec, max_steps, stop_after=None):
     """The decision tree walked by plain recursion, as the engine once did:
     (decision sequences in visit order, truncated, stopped)."""

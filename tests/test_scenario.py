@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from regsim import SemanticsLevel
+from regsim import SemanticsLevel, build_raw_register
 from regsim.scenario import (
     CONSTRUCTIONS,
     ScenarioError,
@@ -61,6 +62,16 @@ def test_scenario_validation_errors():
                                             "multireader, multireader_nowriteback, "
                                             "multiwriter, cts$"):
         scenario_from_dict(base_config(construction=["multiwriter"]))
+    # A misspelt key was once dropped: "base_semantic" ran over atomic bases.
+    # The first unknown key in file order is named.
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({"base_semantic": "safe", **base_config(), "limit": {}})
+    assert str(exc.value) == (
+        "unknown scenario key 'base_semantic'; expected one of construction, n, "
+        "workload, domain, base_semantics, mode, seed, limits")
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(base_config(workload=[[{"kind": "W", "arg": 1, "value": 2}], []]))
+    assert str(exc.value) == "proc 0: unknown op key 'value'; expected one of kind, arg"
 
 
 def test_kind_aliases_accepted():
@@ -90,6 +101,18 @@ def test_base_semantics_override_applies_to_all_registers():
     sc = scenario_from_dict(base_config(base_semantics="regular"))
     spec = build_protocol(sc)
     assert all(r.semantics is SemanticsLevel.REGULAR for r in spec.registers)
+    # The raw register takes the override the same way, and gets the spec
+    # its builder makes at that level; each build makes its own step
+    # program, every other field is equal.
+    raw = base_config(construction="raw_register", n=2, domain=5, workload=[])
+    for level in SemanticsLevel:
+        spec = build_protocol(scenario_from_dict({**raw, "base_semantics": level.name.lower()}))
+        ref = build_raw_register(2, domain=5, semantics=level)
+        assert spec == dataclasses.replace(ref, program=spec.program)
+        assert type(spec.program) is type(ref.program)
+    # With no override it keeps its safe default.
+    spec = build_protocol(scenario_from_dict(raw))
+    assert spec == dataclasses.replace(build_raw_register(2, domain=5), program=spec.program)
 
 
 def test_scenario_echo_is_json_round_trippable():
