@@ -33,6 +33,7 @@ from .engine import (
     Execution,
     ProtocolSpec,
     enumerate_executions,
+    enumeration_limits,
     extract_history,
     max_accesses,
     random_execution,
@@ -116,6 +117,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         limits["max_executions"] = args.max_executions
     if args.max_steps is not None:
         limits["max_steps"] = args.max_steps
+    # Refuse bad limits, then an unusable --out, before the walk: a refused
+    # limit leaves no directory behind, and --out fails fast.
+    enumeration_limits(limits)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     counts = {"pass": 0, "fail": 0}
     first_failure: dict | None = None
@@ -135,8 +141,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 first_failure = {"op": verdict.violating_op, "reason": verdict.reason}
 
     result = enumerate_executions(spec, sc.workload, limits, visit=visit)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cx_path = None
     if counterexample is not None:
         cx_path = out_dir / "counterexample.jsonl"

@@ -149,13 +149,21 @@ class ProtocolSpec:
         return {self.var_name: VarSpec(self.domain, self.init, self.writers, self.readers)}
 
 
-def _register_record(var: str, op_id: int, proc: int, kind: str, arg: int | None,
+def _register_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: int | None,
                      ret: object, start: int, end: int) -> OpRecord:
-    """A finished register operation's record on the implemented variable."""
+    """A finished register operation's record on the implemented variable,
+    checked once, here: ``_Sim`` checked the process's role and a Write's
+    arg, which leaves a Read's return to be an exact int in the domain.  A
+    Read that returned anything else is refused by a History of its
+    record, with that History's message."""
+    var = spec.var_name
     # op_id, proc, var, kind, start, end, arg, ret
     if kind == "Write":
         return OpRecord(op_id, proc, var, OpKind.WRITE, start, end, arg, None)
-    return OpRecord(op_id, proc, var, OpKind.READ, start, end, None, ret)
+    record = OpRecord(op_id, proc, var, OpKind.READ, start, end, None, ret)
+    if type(ret) is not int or not 0 <= ret < spec.domain:
+        History(spec._high_vars, (record,))  # raises
+    return record
 
 
 @slot_init
@@ -303,7 +311,7 @@ class _Sim:
                         f"proc {proc}: {kind} arg {arg!r} is not an integer in [0, {spec.domain})"
                     )
         self.spec = spec
-        self.record_op = spec.record_op if var_name is None else partial(_register_record, var_name)
+        self.record_op = spec.record_op if var_name is None else partial(_register_record, spec)
         self.workload = [list(ops) for ops in workload]
         self.program = spec.program
         self.regs = spec.registers
@@ -534,6 +542,21 @@ DEFAULT_MAX_EXECUTIONS = 1_000_000
 DEFAULT_MAX_STEPS = 10_000
 
 
+def enumeration_limits(limits: Mapping[str, int] | None) -> tuple[int, int]:
+    """``(max_executions, max_steps)`` of an :func:`enumerate_executions`
+    ``limits`` mapping, defaults filled in.  Raises :class:`EngineError`
+    for an unknown key or a limit that is not an int of at least 1."""
+    limits = dict(limits or {})
+    max_exec = limits.pop("max_executions", DEFAULT_MAX_EXECUTIONS)
+    max_steps = limits.pop("max_steps", DEFAULT_MAX_STEPS)
+    if limits:
+        raise EngineError(f"unknown limit keys: {sorted(limits)}")
+    for name, value in (("max_executions", max_exec), ("max_steps", max_steps)):
+        if type(value) is not int or value < 1:
+            raise EngineError(f"limit {name} {value!r} is not an integer >= 1")
+    return max_exec, max_steps
+
+
 def enumerate_executions(
     spec: ProtocolSpec,
     workload: Workload,
@@ -549,14 +572,7 @@ def enumerate_executions(
     truncated when more leaves exist) and ``max_steps`` (branches longer
     than this are cut and flagged); each limit is an int of at least 1.
     """
-    limits = dict(limits or {})
-    max_exec = limits.pop("max_executions", DEFAULT_MAX_EXECUTIONS)
-    max_steps = limits.pop("max_steps", DEFAULT_MAX_STEPS)
-    if limits:
-        raise EngineError(f"unknown limit keys: {sorted(limits)}")
-    for name, value in (("max_executions", max_exec), ("max_steps", max_steps)):
-        if type(value) is not int or value < 1:
-            raise EngineError(f"limit {name} {value!r} is not an integer >= 1")
+    max_exec, max_steps = enumeration_limits(limits)
     result = EnumerationResult()
     cut_executions = cut_steps = False
     collected: list[Execution] = []
@@ -666,10 +682,12 @@ def extract_history(execution: Execution, scope: str = SCOPE_HIGH) -> History:
     """Project an execution onto a History.
 
     High-level scope yields one OpRecord per protocol operation on the
-    protocol's implemented variable: the engine built each when its op
-    finished (``HLOp.record``), so executions that share an op share its
-    record.  Base-level scope yields one OpRecord per base-register access,
-    one variable per register, built here.
+    protocol's implemented variable: the engine built and checked each when
+    its op finished (``HLOp.record``), so executions that share an op share
+    its record, and here they are only sorted and checked for what a whole
+    history requires (:func:`~regsim.history.sequential_ops`).  Base-level
+    scope yields one OpRecord per base-register access, one variable per
+    register, built and fully validated here.
     """
     spec = execution.protocol
     if scope == SCOPE_HIGH:
@@ -678,7 +696,7 @@ def extract_history(execution: Execution, scope: str = SCOPE_HIGH) -> History:
                 f"protocol {spec.name!r} implements no register variable; "
                 "use its own history extraction"
             )
-        return History(vars=spec._high_vars, ops=tuple([op.record for op in execution.ops]))
+        return History._from_records(spec._high_vars, [op.record for op in execution.ops])
     if scope != SCOPE_BASE:
         raise EngineError(f"unknown extraction scope {scope!r}")
     vars = {

@@ -260,8 +260,22 @@ class History:
                 if ret is not None and not 0 <= ret < spec.domain:
                     raise HistoryError(f"op {op_id}: ret {ret} outside domain of {op.var!r}")
 
+    @classmethod
+    def _from_records(cls, vars: Mapping[str, VarSpec], ops: Iterable[OpRecord]) -> "History":
+        """A History of records that were each checked on their own and on
+        ``vars`` when they were built, over declarations checked when they
+        were made: the engine's.  Only what no record can guarantee alone
+        is checked here, by :func:`sequential_ops`."""
+        h = object.__new__(cls)
+        _set_vars(h, dict(vars))
+        _set_ops(h, sequential_ops(ops))
+        return h
+
     def ops_on(self, var: str) -> tuple[OpRecord, ...]:
         return tuple(o for o in self.ops if o.var == var)
+
+
+_set_vars, _set_ops = History.vars.__set__, History.ops.__set__
 
 
 def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
@@ -287,7 +301,7 @@ def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
     spec = h.vars[r.var]
     if len(spec.writers) > 1:
         raise HistoryError(f"var {r.var!r}: classification undefined, use Atomic")
-    return read_values(spec, write_index(h).get(r.var), r, level)
+    return set(read_values(spec, write_index(h).get(r.var), r, level))
 
 
 def write_index(h: History) -> dict[str, tuple[list, list[int], list[int]]]:
@@ -315,10 +329,12 @@ def read_values(
     writes: tuple[list, list[int], list[int]] | None,
     r: OpRecord,
     level: SemanticsLevel,
-) -> set[int]:
+) -> set[int] | range:
     """:func:`feasible_values` of the completed Read ``r`` on a
     single-writer variable, given that variable's :func:`write_index` entry
-    (None if it has no Writes): two bisections, O(log n).
+    (None if it has no Writes): two bisections, O(log n).  Where Safe
+    admits the whole domain it is ``range(spec.domain)``, which tests
+    membership without holding a value per member.
 
     The Writes that end before ``r`` starts are a prefix; the latest of them
     is its last.  The Writes that start before ``r`` ends are a prefix at
@@ -333,7 +349,7 @@ def read_values(
     if j == k:
         return {latest}
     if level is SemanticsLevel.SAFE:
-        return set(range(spec.domain))
+        return range(spec.domain)
     return {latest, *args[k:j]}
 
 

@@ -216,6 +216,19 @@ class CtsHistory:
                 if op.kind == SCAN and op.result is None:
                     raise HistoryError(f"op {op.op_id}: completed Scan without result")
 
+    @classmethod
+    def _from_records(cls, n: int, ops: Iterable[CtsOp]) -> "CtsHistory":
+        """A CtsHistory of records built by :func:`_cts_record` for a run
+        of ``n`` processes, none of which :meth:`_validate` can refuse on
+        its own: only :func:`sequential_ops` is checked here."""
+        h = object.__new__(cls)
+        _set_n(h, n)
+        _set_ops(h, sequential_ops(ops))
+        return h
+
+
+_set_n, _set_ops = CtsHistory.n.__set__, CtsHistory.ops.__set__
+
 
 def check_cts(h: CtsHistory) -> Verdict:
     """Temporal-order correctness of a recorded timestamp history.
@@ -293,7 +306,10 @@ def _cts_record(op_id: int, proc: int, kind: str, arg: int | None, ret: tuple,
                 start: int, end: int) -> CtsOp:
     """A finished Labeling's or Scan's record, from its return value: the
     assigned (seq, pid), or the scanned (owner, seq, pid, payload) entries
-    in temporal order.  The engine builds it once per op (``record_op``)."""
+    in temporal order.  The engine builds it once per op (``record_op``),
+    and it always passes :meth:`CtsHistory._validate`: the engine checked
+    the payload, the kind and the process, and a finished op always has
+    its label or result."""
     # op_id, proc, kind, start, end, payload, label, result
     if kind == LABELING:
         return CtsOp(op_id, proc, LABELING, start, end, arg, Tag(*ret))
@@ -305,13 +321,15 @@ def extract_cts_history(execution: Execution) -> CtsHistory:
     """Project a cts execution onto a CtsHistory.
 
     The engine built each op's CtsOp when the op finished (``HLOp.record``,
-    from the protocol's ``record_op``), so executions that share an op
-    share its record, and this only gathers and validates them.
+    from the protocol's ``record_op``, which must be :func:`_cts_record`),
+    so executions that share an op share its record, and this only sorts
+    them and checks what a whole history requires
+    (:func:`~regsim.history.sequential_ops`).
     """
     spec = execution.protocol
-    if LABELING not in spec.budgets or spec.record_op is None:
+    if LABELING not in spec.budgets or spec.record_op is not _cts_record:
         raise EngineError(f"protocol {spec.name!r} is not a timestamp system")
-    return CtsHistory(spec.n_processes, tuple([op.record for op in execution.ops]))
+    return CtsHistory._from_records(spec.n_processes, [op.record for op in execution.ops])
 
 
 # ---------------------------------------------------------------------------

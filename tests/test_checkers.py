@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,21 @@ def test_overlapped_wild_read_safe_only():
     assert check_level(h, SemanticsLevel.SAFE).ok
     v = check_level(h, SemanticsLevel.REGULAR).ok
     assert not v
+
+
+def test_safe_check_holds_no_value_per_domain_member():
+    # A safe Read overlapping a Write admits the whole domain, whose set the
+    # check once built: a domain of 10**20 ran out of memory, and this one
+    # allocated tens of MB.
+    h = hist(w(0, 0, 3, 1), r(1, 1, 2, 7), domain=10**6)
+    tracemalloc.start()
+    try:
+        assert check_level(h, SemanticsLevel.SAFE).ok
+        assert classify(h) is SemanticsLevel.SAFE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_new_old_inversion_regular_not_atomic():

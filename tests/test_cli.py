@@ -8,6 +8,8 @@ import pytest
 from regsim import cli, scenario
 from regsim.cli import main
 
+from test_engine import BAD_RETURNS, BadReturnProgram
+
 
 def write_config(tmp_path, name="scenario.json", **overrides):
     cfg = {
@@ -122,6 +124,35 @@ def test_unusable_out_exit_two(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_enumerate_refuses_unusable_out_before_the_walk(tmp_path, monkeypatch, capsys):
+    # --out under a file was once created only after the whole walk
+    def walk(*args, **kwargs):
+        raise AssertionError("the tree was walked before --out was made")
+
+    monkeypatch.setattr(cli, "enumerate_executions", walk)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "x"
+    assert main(["enumerate", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", BAD_RETURNS)
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_bad_read_return_exit_two(tmp_path, monkeypatch, capsys, command, case):
+    bad, message = BAD_RETURNS[case]
+    build = cli.build_protocol
+    monkeypatch.setattr(
+        cli, "build_protocol",
+        lambda sc: dataclasses.replace(build(sc), program=BadReturnProgram(bad)),
+    )
+    cfg = write_config(tmp_path, construction="raw_register", n=1, domain=2,
+                       workload=[[], [{"kind": "R"}]])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # -- enumerate ----------------------------------------------------------------

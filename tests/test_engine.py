@@ -8,7 +8,9 @@ import pytest
 from regsim import (
     BaseRegisterSpec,
     History,
+    HistoryError,
     OpKind,
+    OpRecord,
     ProtocolSpec,
     SemanticsLevel,
     build_cts,
@@ -549,3 +551,50 @@ def test_program_action_refused(refusal, at, entry):
                         {"Read": 3, "Write": 3}, "X", 2, 0, frozenset({0}), frozenset({0, 1}))
     with pytest.raises(EngineError, match=refusal):
         ENTRY_POINTS[entry](spec, [[("Read", None)], []])
+
+
+class BadReturnProgram(StepProgram):
+    """A raw register whose Read reads the register and then returns
+    ``bad`` instead of what it read."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def begin(self, proc, mem, kind, arg):
+        return (WriteAction(0, arg) if kind == "Write" else ReadAction(0)), kind
+
+    def resume(self, proc, mem, state, result):
+        return ReturnAction(self.bad if state == "Read" else None, mem), None
+
+
+#: A Read return the implemented variable X (domain 2) refuses, and
+#: History's message for it as op 0.
+BAD_RETURNS = {
+    "above": (2, "op 0: ret 2 outside domain of 'X'"),
+    "negative": (-1, "op 0: ret -1 outside domain of 'X'"),
+    "bool": (True, "op 0: ret True is not an integer"),
+    "float": (1.0, "op 0: ret 1.0 is not an integer"),
+    "none": (None, "op 0: Read must carry ret iff completed"),
+}
+
+
+@pytest.mark.parametrize("entry", ["run_schedule", "random_execution", "enumerate_executions"])
+@pytest.mark.parametrize("case", BAD_RETURNS)
+def test_bad_read_return_refused_when_the_op_finishes(case, entry):
+    # The engine checks a Read's return once, when it builds the op's
+    # record, and refuses it with the message a History gives that record.
+    bad, message = BAD_RETURNS[case]
+    spec = dataclasses.replace(atomic_bit(), program=BadReturnProgram(bad))
+    record = OpRecord(0, 1, "X", OpKind.READ, 0, 1, None, bad)
+    with pytest.raises(HistoryError) as direct:
+        History(spec._high_vars, (record,))
+    assert str(direct.value) == message
+    wl = [[], [("Read", None)]]
+    run = {
+        "run_schedule": lambda: run_schedule(spec, wl, [(1, None), (1, None)]),
+        "random_execution": lambda: random_execution(spec, wl, 0),
+        "enumerate_executions": lambda: enumerate_executions(spec, wl),
+    }[entry]
+    with pytest.raises(HistoryError) as raised:
+        run()
+    assert str(raised.value) == message

@@ -1,12 +1,15 @@
-"""High-level projection from records built once per finished op, against
-the per-leaf conversion loops it replaced.
+"""High-level projection from records built and checked once per finished
+op, against the per-leaf conversion loops it replaced.
 
 ``extract_loop.extract_high`` rebuilds every op's ``OpRecord`` from the
 ``HLOp`` on each call, as ``extract_history`` did before the engine built
 the record when the op finished, and ``extract_loop.extract_cts`` every
-``CtsOp``, as ``extract_cts_history`` did.  Each pair must give equal
-histories on every execution: of whole enumerations, of cut-short ones, of
-executions kept past the end of the walk, and of seeded random runs.
+``CtsOp``, as ``extract_cts_history`` did; both build their history through
+the public, fully validating constructor, where the fast path only sorts
+the shared records and checks what a whole history requires.  Each pair
+must give equal histories, with their ops in the same order, on every
+execution: of whole enumerations, of cut-short ones, of executions kept
+past the end of the walk, and of seeded random runs.
 """
 
 import dataclasses
@@ -14,9 +17,14 @@ import dataclasses
 import pytest
 
 from regsim import (
+    CtsHistory,
     CtsOp,
+    History,
+    HistoryError,
+    OpKind,
     OpRecord,
     SemanticsLevel,
+    Tag,
     build_cts,
     build_multiwriter,
     build_raw_register,
@@ -32,6 +40,12 @@ from extract_loop import extract_cts, extract_high
 from test_fast_paths import RANDOM, TREES
 
 
+def assert_same_history(fast, ref):
+    assert type(fast) is type(ref)
+    assert [op.op_id for op in fast.ops] == [op.op_id for op in ref.ops]
+    assert fast == ref
+
+
 def assert_same_projection(e):
     if e.protocol.var_name is None:
         with pytest.raises(EngineError, match="no register variable"):
@@ -39,10 +53,12 @@ def assert_same_projection(e):
         with pytest.raises(EngineError, match="no register variable"):
             extract_high(e)
         assert all(type(op.record) is CtsOp for op in e.ops)
-        assert extract_cts_history(e) == extract_cts(e)
+        assert_same_history(extract_cts_history(e), extract_cts(e))
     else:
         assert all(type(op.record) is OpRecord for op in e.ops)
-        assert extract_history(e) == extract_high(e)
+        fast = extract_history(e)
+        assert_same_history(fast, extract_high(e))
+        assert fast.vars is not e.protocol._high_vars
         with pytest.raises(EngineError, match="not a timestamp system"):
             extract_cts_history(e)
         with pytest.raises(EngineError, match="not a timestamp system"):
@@ -171,15 +187,31 @@ def test_records_take_no_part_in_equality_or_repr():
 
 
 def test_cts_projection_needs_the_protocols_records():
+    # The fast path checks no record on its own, so it takes only records
+    # that the cts protocol's own record_op built.
     build, workload, _ = RANDOM["cts"]
-    spec = dataclasses.replace(build(), record_op=None)
-    e = random_execution(spec, workload, 0)
-    assert all(op.record is None for op in e.ops)
-    with pytest.raises(EngineError, match="'cts' is not a timestamp system"):
-        extract_cts_history(e)
+    for record_op in (None, lambda *fields: None):
+        spec = dataclasses.replace(build(), record_op=record_op)
+        e = random_execution(spec, workload, 0)
+        assert all(op.record is None for op in e.ops)
+        with pytest.raises(EngineError, match="'cts' is not a timestamp system"):
+            extract_cts_history(e)
 
 
 def test_register_protocol_takes_only_reads_and_writes():
     spec = dataclasses.replace(build_multiwriter(2), budgets={"Write": 3, "Read": 2, "Scan": 2})
     with pytest.raises(EngineError, match="'Scan' is not a Read or Write of 'X'"):
         random_execution(spec, [[("Scan", None)], []], 0)
+
+
+def test_fast_path_checks_what_no_record_guarantees_alone():
+    # Two records that are each fine but share a step: only the history
+    # can tell, and the fast path still does.
+    vars = build_raw_register(1)._high_vars
+    ops = [OpRecord(0, 0, "X", OpKind.WRITE, 0, 2, 1, None),
+           OpRecord(1, 1, "X", OpKind.READ, 2, 3, None, 1)]
+    with pytest.raises(HistoryError, match="^duplicate step index 2$"):
+        History._from_records(vars, ops)
+    cts = [CtsOp(0, 0, LABELING, 0, 3, 1, Tag(1, 0)), CtsOp(1, 0, SCAN, 1, 2)]
+    with pytest.raises(HistoryError, match="^proc 0: ops 0 and 1 overlap$"):
+        CtsHistory._from_records(2, cts)
