@@ -26,40 +26,34 @@ import json
 import sys
 from pathlib import Path
 
-from . import timestamp
-from .checkers import Verdict, check_level, classify
+from .checkers import classify
 from .engine import (
+    REGISTER,
     EngineError,
     Execution,
-    ProtocolSpec,
     enumerate_executions,
     enumeration_limits,
-    extract_history,
     max_accesses,
     random_execution,
 )
-from .history import HistoryError, SemanticsLevel, TraceError, parse_trace, serialize_trace
+from .history import HistoryError, SemanticsLevel, TraceError
 from .scenario import ScenarioError, build_protocol, load_scenario
+from .timestamp import CTS
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_TRUNCATED = 3
 
-_REGISTER_LEVELS = ("safe", "regular", "atomic")
-
-
-def _decisions_json(execution: Execution) -> list:
-    return [[p, v] for p, v in execution.decisions]
+#: Each level and the one history kind that lists it: kind by kind, each
+#: kind's levels weakest first, as --help shows them.
+_LEVELS = {level: kind for kind in (REGISTER, CTS) for level in reversed(kind.levels)}
 
 
 def _write_execution_trace(execution: Execution, path: Path) -> None:
-    ext = {"decisions": _decisions_json(execution)}
-    if execution.protocol.var_name is None:
-        text = timestamp.serialize_cts_trace(timestamp.extract_cts_history(execution), ext)
-    else:
-        text = serialize_trace(extract_history(execution, "high"), ext)
-    path.write_text(text, encoding="utf-8")
+    kind = execution.protocol.history
+    ext = {"decisions": [[p, v] for p, v in execution.decisions]}
+    path.write_text(kind.serialize(kind.extract(execution), ext), encoding="utf-8")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -78,39 +72,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _make_execution_checker(spec: ProtocolSpec, level: str):
-    """Returns check(execution) -> Verdict for the protocol at ``level``.
-    Safe and regular are per-Read conditions defined for one writer only,
-    so a multi-writer construction is refused at those levels here rather
-    than by the checker at the first execution."""
-    if level == "cts":
-        if spec.var_name is not None:
-            raise ScenarioError("--check cts requires the cts construction")
-
-        def check(execution: Execution) -> Verdict:
-            return timestamp.check_cts(timestamp.extract_cts_history(execution))
-
-    else:
-        if spec.var_name is None:
-            raise ScenarioError("the cts construction is checked with --check cts")
-        sem = SemanticsLevel.parse(level)
-        if sem is not SemanticsLevel.ATOMIC and len(spec.writers) > 1:
-            raise ScenarioError(
-                f"{level} classification is undefined on the multi-writer "
-                f"{spec.name} construction; use --check atomic"
-            )
-
-        def check(execution: Execution) -> Verdict:
-            return check_level(extract_history(execution, "high"), sem)
-
-    return check
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     sc = load_scenario(args.config)
     spec = build_protocol(sc)
-    level = args.check or ("cts" if spec.var_name is None else "atomic")
-    check = _make_execution_checker(spec, level)
+    kind = spec.history
+    level = args.check or next(iter(kind.levels))
+    if level not in kind.levels:
+        raise ScenarioError(f"--check {level} does not apply to the {spec.name} construction "
+                            f"(levels: {', '.join(kind.levels)})")
+    sem = kind.levels[level]
+    # Safe and regular are defined for one writer only: a multi-writer
+    # construction is refused at those levels here, not at the first check.
+    if sem in (SemanticsLevel.SAFE, SemanticsLevel.REGULAR) and len(spec.writers) > 1:
+        raise ScenarioError(
+            f"{level} classification is undefined on the multi-writer "
+            f"{spec.name} construction; use --check atomic"
+        )
+    extract, check = kind.extract, kind.check
 
     limits = dict(sc.limits)
     if args.max_executions is not None:
@@ -131,7 +109,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     def visit(execution: Execution) -> None:
         nonlocal first_failure, counterexample
         max_accesses((execution,), accesses)
-        verdict = check(execution)
+        verdict = check(extract(execution), sem)
         if verdict.ok:
             counts["pass"] += 1
         else:
@@ -179,15 +157,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace: {exc}") from None
     level = args.level
-    if level == "cts":
-        verdict = timestamp.check_cts(timestamp.parse_cts_trace(text))
-    else:
-        h = parse_trace(text)
-        if level == "classify":
-            top = classify(h)
-            print(top.name.lower() if top else "none")
-            return EXIT_PASS
-        verdict = check_level(h, SemanticsLevel.parse(level))
+    if level == "classify":
+        top = classify(REGISTER.parse(text))
+        print(top.name.lower() if top else "none")
+        return EXIT_PASS
+    kind = _LEVELS[level]
+    verdict = kind.check(kind.parse(text), kind.levels[level])
     if verdict.ok:
         print(f"{level}: pass")
         return EXIT_PASS
@@ -213,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="enumerate the decision tree, check every execution")
     p_enum.add_argument("--config", required=True, help="scenario JSON file")
-    p_enum.add_argument("--check", choices=_REGISTER_LEVELS + ("cts",), default=None,
+    p_enum.add_argument("--check", choices=[*_LEVELS], default=None,
                         help="level to check each execution against")
     p_enum.add_argument("--out", default=".", help="output directory")
     p_enum.add_argument("--max-executions", type=int, default=None)
@@ -222,8 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="check a recorded trace file")
     p_check.add_argument("trace", help="trace file (JSON lines)")
-    p_check.add_argument("--level", required=True,
-                         choices=_REGISTER_LEVELS + ("classify", "cts"))
+    levels = [*_LEVELS]
+    levels.insert(len(REGISTER.levels), "classify")  # a register-only reading
+    p_check.add_argument("--level", required=True, choices=levels)
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .history import History, HistoryError, OpKind, OpRecord, SemanticsLevel, VarSpec, slot_init
+from .checkers import Verdict, check_level
+from .history import (History, HistoryError, OpKind, OpRecord, SemanticsLevel, VarSpec,
+                      parse_trace, serialize_trace, slot_init)
 
 
 class EngineError(RuntimeError):
@@ -102,51 +104,22 @@ class StepProgram:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """A register or timestamp construction ready to simulate.
+class HistoryKind(NamedTuple):
+    """One family of histories, judged at each of ``levels``: a map from a
+    level's name, the default first, to what ``check`` takes for it.
+    ``arg_kinds`` names the op kinds that take an arg (a value in ``[0,
+    domain)``).  ``record(spec, op_id, proc, kind, arg, ret, start, end)``
+    builds a finished op's record.  ``extract``, ``check``, ``serialize``
+    and ``parse`` call their layer function by module attribute at each
+    call, so that a wrapper patched over the attribute sees the call."""
 
-    ``var_name`` names the implemented high-level variable for register
-    protocols (None for timestamp systems, which have no single variable).
-    ``budgets`` declares the wait-freedom contract: exact worst-case base
-    accesses per operation kind.  ``arg_kinds`` names the operation kinds
-    that take an argument (a value in ``[0, domain)``); every other kind
-    takes none.  ``record_op(op_id, proc, kind, arg, ret, start, end)``
-    builds a finished operation's history record for a protocol with no
-    ``var_name``; a register protocol's records are OpRecords on
-    ``var_name``, whose declaration is checked once, here, by the rule
-    every History applies to its variables.
-    """
-
-    name: str
-    n_processes: int
-    registers: tuple[BaseRegisterSpec, ...]
-    program: StepProgram
-    budgets: Mapping[str, int]
-    var_name: str | None
-    domain: int
-    init: int
-    writers: frozenset[int]
-    readers: frozenset[int]
-    record_op: Callable[[int, int, str, int | None, object, int, int], object] | None = None
-    arg_kinds: frozenset[str] = frozenset({"Write"})
-
-    def __post_init__(self) -> None:
-        if self.n_processes < 1:
-            raise EngineError("protocol needs at least one process")
-        names = [r.name for r in self.registers]
-        if len(set(names)) != len(names):
-            raise EngineError("duplicate base register names")
-        if self.var_name is not None:
-            try:
-                self._high_vars[self.var_name]._validate(self.var_name)
-            except HistoryError as exc:
-                raise EngineError(str(exc)) from None
-
-    @cached_property
-    def _high_vars(self) -> dict[str, VarSpec]:
-        """The implemented variable's declaration, built once per protocol."""
-        return {self.var_name: VarSpec(self.domain, self.init, self.writers, self.readers)}
+    levels: Mapping[str, object]
+    arg_kinds: frozenset[str]
+    record: Callable[..., object]
+    extract: Callable[[Execution], object]
+    check: Callable[[object, object], Verdict]
+    serialize: Callable[[object, Mapping[str, object] | None], str]
+    parse: Callable[[str], object]
 
 
 def _register_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: int | None,
@@ -166,14 +139,68 @@ def _register_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: 
     return record
 
 
+#: Register histories, judged at atomic (the default), regular or safe.
+REGISTER = HistoryKind(
+    levels={level.name.lower(): level for level in reversed(SemanticsLevel)},
+    arg_kinds=frozenset({"Write"}),
+    record=_register_record,
+    extract=lambda execution: extract_history(execution, SCOPE_HIGH),
+    check=lambda h, level: check_level(h, level),
+    serialize=lambda h, extensions: serialize_trace(h, extensions),
+    parse=lambda text: parse_trace(text),
+)
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """A register or timestamp construction ready to simulate.
+
+    ``var_name`` names the implemented high-level variable for register
+    protocols (None for timestamp systems, which have no single variable),
+    checked once, here, by the rule every History applies to its variables.
+    ``budgets`` declares the wait-freedom contract: exact worst-case base
+    accesses per operation kind.  ``history`` is the protocol's
+    :class:`HistoryKind`: :data:`REGISTER` or ``timestamp.CTS``.
+    """
+
+    name: str
+    n_processes: int
+    registers: tuple[BaseRegisterSpec, ...]
+    program: StepProgram
+    budgets: Mapping[str, int]
+    var_name: str | None
+    domain: int
+    init: int
+    writers: frozenset[int]
+    readers: frozenset[int]
+    history: HistoryKind = REGISTER
+
+    def __post_init__(self) -> None:
+        if self.n_processes < 1:
+            raise EngineError("protocol needs at least one process")
+        names = [r.name for r in self.registers]
+        if len(set(names)) != len(names):
+            raise EngineError("duplicate base register names")
+        if self.var_name is not None:
+            try:
+                self._high_vars[self.var_name]._validate(self.var_name)
+            except HistoryError as exc:
+                raise EngineError(str(exc)) from None
+
+    @cached_property
+    def _high_vars(self) -> dict[str, VarSpec]:
+        """The implemented variable's declaration, built once per protocol."""
+        return {self.var_name: VarSpec(self.domain, self.init, self.writers, self.readers)}
+
+
 @slot_init
 @dataclass(frozen=True, slots=True)
 class HLOp:
     """One completed high-level operation in an execution.
 
-    ``record`` is the op's history record (an OpRecord on the implemented
-    variable, or what the protocol's ``record_op`` builds), made once when
-    the op finishes, so every execution that shares the op shares it too.
+    ``record`` is the op's history record, built by the protocol's
+    ``history.record`` once when the op finishes, so every execution that
+    shares the op shares it too.
     It takes no part in equality or repr.
     """
 
@@ -285,7 +312,7 @@ class _Sim:
             raise EngineError(
                 f"workload lists {len(workload)} processes, protocol has {spec.n_processes}"
             )
-        var_name = spec.var_name
+        var_name, arg_kinds = spec.var_name, spec.history.arg_kinds
         # A register protocol's op kinds, each with the processes that may run it.
         roles = {"Write": ("writer", spec.writers), "Read": ("reader", spec.readers)}
         for proc, ops in enumerate(workload):
@@ -301,7 +328,7 @@ class _Sim:
                     if proc not in procs:
                         raise EngineError(f"proc {proc}: {kind} by a process that is not a "
                                           f"{role} of {var_name!r}")
-                if kind not in spec.arg_kinds:
+                if kind not in arg_kinds:
                     if arg is not None:
                         raise EngineError(f"proc {proc}: {kind} takes no arg, got {arg!r}")
                 elif arg is None:
@@ -311,7 +338,7 @@ class _Sim:
                         f"proc {proc}: {kind} arg {arg!r} is not an integer in [0, {spec.domain})"
                     )
         self.spec = spec
-        self.record_op = spec.record_op if var_name is None else partial(_register_record, spec)
+        self.record = partial(spec.history.record, spec)
         self.workload = [list(ops) for ops in workload]
         self.program = spec.program
         self.regs = spec.registers
@@ -488,8 +515,7 @@ class _Sim:
     def _finish_op(self, p: _Proc, proc: int, action: ReturnAction, step: int) -> None:
         kind, arg = self.workload[proc][p.opidx]
         uid, ret, start = p.uid, action.value, p.first
-        record_op = self.record_op
-        record = None if record_op is None else record_op(uid, proc, kind, arg, ret, start, step)
+        record = self.record(uid, proc, kind, arg, ret, start, step)
         # op_id, proc, kind, arg, ret, start, end, base_accesses, record
         self.hlops.append(HLOp(uid, proc, kind, arg, ret, start, step, p.acc, record))
         p.mem = action.memory

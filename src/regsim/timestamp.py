@@ -23,6 +23,7 @@ from .engine import (
     BaseRegisterSpec,
     EngineError,
     Execution,
+    HistoryKind,
     ProtocolSpec,
     ReadAction,
     ReturnAction,
@@ -157,8 +158,7 @@ def build_cts(n: int, domain: int = 8) -> ProtocolSpec:
         init=0,
         writers=everyone,
         readers=everyone,
-        record_op=_cts_record,
-        arg_kinds=frozenset({LABELING}),
+        history=CTS,
     )
 
 
@@ -302,14 +302,14 @@ def check_cts(h: CtsHistory) -> Verdict:
     return PASS
 
 
-def _cts_record(op_id: int, proc: int, kind: str, arg: int | None, ret: tuple,
-                start: int, end: int) -> CtsOp:
+def _cts_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: int | None,
+                ret: tuple, start: int, end: int) -> CtsOp:
     """A finished Labeling's or Scan's record, from its return value: the
     assigned (seq, pid), or the scanned (owner, seq, pid, payload) entries
-    in temporal order.  The engine builds it once per op (``record_op``),
-    and it always passes :meth:`CtsHistory._validate`: the engine checked
-    the payload, the kind and the process, and a finished op always has
-    its label or result."""
+    in temporal order.  The engine builds it once per op, as ``CTS.record``
+    (``spec`` unused), and it always passes :meth:`CtsHistory._validate`:
+    the engine checked the payload, the kind and the process, and a
+    finished op always has its label or result."""
     # op_id, proc, kind, start, end, payload, label, result
     if kind == LABELING:
         return CtsOp(op_id, proc, LABELING, start, end, arg, Tag(*ret))
@@ -321,13 +321,13 @@ def extract_cts_history(execution: Execution) -> CtsHistory:
     """Project a cts execution onto a CtsHistory.
 
     The engine built each op's CtsOp when the op finished (``HLOp.record``,
-    from the protocol's ``record_op``, which must be :func:`_cts_record`),
+    by ``CTS.record``: the protocol's ``history`` must be :data:`CTS`),
     so executions that share an op share its record, and this only sorts
     them and checks what a whole history requires
     (:func:`~regsim.history.sequential_ops`).
     """
     spec = execution.protocol
-    if LABELING not in spec.budgets or spec.record_op is not _cts_record:
+    if LABELING not in spec.budgets or spec.history is not CTS:
         raise EngineError(f"protocol {spec.name!r} is not a timestamp system")
     return CtsHistory._from_records(spec.n_processes, [op.record for op in execution.ops])
 
@@ -381,3 +381,15 @@ def serialize_cts_trace(h: CtsHistory, extensions: Mapping[str, object] | None =
 def parse_cts_trace(text: str) -> CtsHistory:
     return read_trace(text, "cts", _cts_op,
                       lambda spec, ops: CtsHistory(n=trace_int(spec["n"], "n"), ops=tuple(ops)))
+
+
+#: Timestamp histories, judged by :func:`check_cts` at their one level.
+CTS = HistoryKind(
+    levels={"cts": None},
+    arg_kinds=frozenset({LABELING}),
+    record=_cts_record,
+    extract=lambda execution: extract_cts_history(execution),
+    check=lambda h, level: check_cts(h),
+    serialize=lambda h, extensions: serialize_cts_trace(h, extensions),
+    parse=lambda text: parse_cts_trace(text),
+)

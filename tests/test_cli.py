@@ -1,14 +1,21 @@
+import collections
 import dataclasses
 import json
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from regsim import cli, scenario
+from regsim import checkers, cli, engine, scenario, timestamp
 from regsim.cli import main
+from regsim.engine import REGISTER
+from regsim.timestamp import CTS
 
 from test_engine import BAD_RETURNS, BadReturnProgram
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -81,7 +88,9 @@ def test_out_of_memory_exit_three(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "random_execution", exhausted)
     monkeypatch.setattr(cli, "enumerate_executions", exhausted)
-    monkeypatch.setattr(cli, "parse_trace", exhausted)
+    # check reads a register trace through the REGISTER kind's parse,
+    # which calls the engine module's parse_trace
+    monkeypatch.setattr(engine, "parse_trace", exhausted)
     cfg = write_config(tmp_path)
     for argv in (["simulate", "--config", cfg, "--out", str(tmp_path / "o")],
                  ["enumerate", "--config", cfg, "--out", str(tmp_path / "e")],
@@ -349,14 +358,61 @@ def test_enumerate_cts_scenario(tmp_path):
 
 
 def test_enumerate_level_mismatch_exit_two(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert main(["enumerate", "--config", cfg, "--check", "cts", "--out", str(tmp_path)]) == 2
-    cts_cfg = write_config(
-        tmp_path, name="cts.json", construction="cts",
-        workload=[[{"kind": "L", "arg": 1}], [{"kind": "S"}]],
-    )
-    assert main(["enumerate", "--config", cts_cfg, "--check", "atomic",
-                 "--out", str(tmp_path)]) == 2
+    # Every level of each history kind is refused on the other kind's
+    # scenario before the walk: one error line and no --out directory.
+    for name, kind in (("multiwriter_atomic", CTS), ("cts_labelings_scan", REGISTER)):
+        for level in kind.levels:
+            out = tmp_path / f"{name}.{level}"
+            assert main(["enumerate", "--config", str(SCENARIOS / f"{name}.json"),
+                         "--check", level, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert not out.exists()
+    # With no --check, each kind's default level, its first, is checked.
+    assert (next(iter(REGISTER.levels)), next(iter(CTS.levels))) == ("atomic", "cts")
+    for name, kind in (("multiwriter_atomic", REGISTER), ("cts_labelings_scan", CTS)):
+        out = tmp_path / f"{name}.default"
+        assert main(["enumerate", "--config", str(SCENARIOS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["checked_level"] == next(iter(kind.levels))
+
+
+def count_checks(monkeypatch) -> collections.Counter:
+    """Replace every regsim module's reference to ``check_level`` and to
+    ``check_cts`` with a wrapper that counts its calls by level, as the
+    benchmark's tracer replaces them: the CLI's checks must reach whatever
+    those module attributes hold when it runs."""
+    counts = collections.Counter()
+
+    def counting(fn, level_name):
+        def wrapper(h, *level):
+            counts[level_name(*level)] += 1
+            return fn(h, *level)
+        return wrapper
+
+    targets = [(checkers.check_level, counting(checkers.check_level, lambda lv: lv.name.lower())),
+               (timestamp.check_cts, counting(timestamp.check_cts, lambda: "cts"))]
+    for name, mod in list(sys.modules.items()):
+        if name == "regsim" or name.startswith("regsim."):
+            for attr, val in list(vars(mod).items()):
+                for fn, wrapper in targets:
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name, level", [("multiwriter_atomic", "atomic"),
+                                         ("cts_labelings_scan", "cts")])
+def test_checks_reach_the_patched_checker(tmp_path, monkeypatch, name, level):
+    counts = count_checks(monkeypatch)
+    config = str(SCENARIOS / f"{name}.json")
+    assert main(["enumerate", "--config", config, "--out", str(tmp_path / "enum")]) == 0
+    assert counts == {level: 8008}
+    counts.clear()
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["check", str(tmp_path / "sim" / "trace.jsonl"), "--level", level]) == 0
+    assert counts == {level: 1}
 
 
 @pytest.mark.parametrize("base_semantics", ["atomic", "regular"])

@@ -34,7 +34,7 @@ from regsim import (
     random_execution,
 )
 from regsim.engine import EngineError, ReadAction, ReturnAction, StepProgram, WriteAction, _Sim
-from regsim.timestamp import LABELING, SCAN
+from regsim.timestamp import CTS, LABELING, SCAN
 
 from extract_loop import extract_cts, extract_high
 from test_fast_paths import RANDOM, TREES
@@ -187,13 +187,16 @@ def test_records_take_no_part_in_equality_or_repr():
 
 
 def test_cts_projection_needs_the_protocols_records():
-    # The fast path checks no record on its own, so it takes only records
-    # that the cts protocol's own record_op built.
+    # The fast path checks no record on its own, so it takes only the
+    # records of a protocol whose history kind is CTS itself: not those of
+    # an equal copy of it, nor of a kind whose record builds nothing.
     build, workload, _ = RANDOM["cts"]
-    for record_op in (None, lambda *fields: None):
-        spec = dataclasses.replace(build(), record_op=record_op)
+    for kind, record_type in ((CTS._replace(), CtsOp),
+                              (CTS._replace(record=lambda *fields: None), type(None))):
+        assert kind is not CTS
+        spec = dataclasses.replace(build(), history=kind)
         e = random_execution(spec, workload, 0)
-        assert all(op.record is None for op in e.ops)
+        assert all(type(op.record) is record_type for op in e.ops)
         with pytest.raises(EngineError, match="'cts' is not a timestamp system"):
             extract_cts_history(e)
 

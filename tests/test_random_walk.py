@@ -69,10 +69,10 @@ def walks(draw):
     workload = []
     for proc in range(spec.n_processes):
         kinds = [k for k in sorted(spec.budgets)
-                 if proc in (spec.writers if k in spec.arg_kinds else spec.readers)]
+                 if proc in (spec.writers if k in spec.history.arg_kinds else spec.readers)]
         op = st.sampled_from(kinds).flatmap(
             lambda k: st.tuples(st.just(k), st.integers(0, spec.domain - 1)
-                                if k in spec.arg_kinds else st.none()))
+                                if k in spec.history.arg_kinds else st.none()))
         workload.append(draw(st.lists(op, max_size=3)) if kinds else [])
     return spec, workload, draw(st.integers(0, 2**32))
 
