@@ -199,9 +199,10 @@ class HLOp:
     """One completed high-level operation in an execution.
 
     ``record`` is the op's history record, built by the protocol's
-    ``history.record`` once when the op finishes, so every execution that
-    shares the op shares it too.
-    It takes no part in equality or repr.
+    ``history.record`` when the op finishes.  It takes no part in equality
+    or repr.  A walk builds each distinct finish once, record included,
+    and every execution of the walk that has the op shares the one object
+    (:meth:`_Sim._finish_op`).
     """
 
     op_id: int
@@ -289,6 +290,21 @@ class _Choices(Sequence):
 _IDLE, _PENDING_INVOKE, _MID, _ENDING = range(4)
 
 
+def _ret_key(ret: object) -> object:
+    """A hashable key of an op's return, equal for two returns only when
+    they are the same type at every depth and equal: an exact int or None
+    as itself, a plain tuple by its items' keys, anything else by identity
+    (the walk's table keeps the object alive in its HLOp, so no other
+    object takes its id).  ``1``, ``True`` and ``1.0`` compare equal and
+    hash alike, and ``[1]`` cannot be hashed, so none of them is keyed as
+    itself."""
+    if type(ret) is int or ret is None:
+        return ret
+    if type(ret) is tuple:
+        return (tuple, *map(_ret_key, ret))
+    return (id, id(ret))
+
+
 class _Proc:
     """One process's runtime state.  Its current op is
     ``workload[proc][opidx]``, begun at step ``first`` as op ``uid``, with
@@ -351,6 +367,8 @@ class _Sim:
         self.reg_writes: list[list[list]] = [[[-2, -1, r.init]] for r in self.regs]
         self.events: list[Event] = []
         self.hlops: list[HLOp] = []
+        # Each distinct finish's HLOp, by its key (_finish_op).
+        self.finished: dict[tuple, HLOp] = {}
         self.decisions: list[Decision] = []
         self.procs = [_Proc(self.program.initial_memory(proc)) for proc in range(spec.n_processes)]
         self.n_ops = [len(ops) for ops in self.workload]
@@ -405,7 +423,10 @@ class _Sim:
 
     def check(self, proc: int, value: int | None) -> None:
         """Raise :class:`InvalidDecision` unless ``(proc, value)`` is one of
-        this node's :meth:`choices`."""
+        this node's :meth:`choices`, whose processes and values are exact
+        ints: ``True`` or ``1.0`` compares equal to 1 but names no choice."""
+        if type(proc) is not int:
+            raise InvalidDecision(f"process {proc!r} is not an integer")
         p = self.procs[proc] if 0 <= proc < self.spec.n_processes else None
         if p is None or p.phase == _IDLE and p.opidx >= self.n_ops[proc]:
             raise InvalidDecision(f"process {proc} has no pending step")
@@ -413,6 +434,8 @@ class _Sim:
         if p.phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
             if value is None:
                 raise InvalidDecision(f"process {proc}: adversary value required")
+            if type(value) is not int:
+                raise InvalidDecision(f"process {proc}: value {value!r} is not an integer")
             if value not in self.feasible(proc):
                 raise InvalidDecision(f"process {proc}: value {value} not feasible")
         elif value is not None:
@@ -513,11 +536,20 @@ class _Sim:
         return rec
 
     def _finish_op(self, p: _Proc, proc: int, action: ReturnAction, step: int) -> None:
-        kind, arg = self.workload[proc][p.opidx]
-        uid, ret, start = p.uid, action.value, p.first
-        record = self.record(uid, proc, kind, arg, ret, start, step)
-        # op_id, proc, kind, arg, ret, start, end, base_accesses, record
-        self.hlops.append(HLOp(uid, proc, kind, arg, ret, start, step, p.acc, record))
+        """Append the op ``p`` finishes at ``step``.  Each distinct finish
+        is built once per walk and then shared: ``finished`` maps a finish's
+        key to its HLOp, record included.  The key holds everything the two
+        depend on (``proc`` and ``opidx`` fix the kind and arg), the return
+        by :func:`_ret_key`, so a hit is the object a miss would build."""
+        uid, ret, start, opidx, acc = p.uid, action.value, p.first, p.opidx, p.acc
+        key = (uid, proc, opidx, start, step, acc, _ret_key(ret))
+        op = self.finished.get(key)
+        if op is None:
+            kind, arg = self.workload[proc][opidx]
+            record = self.record(uid, proc, kind, arg, ret, start, step)
+            # op_id, proc, kind, arg, ret, start, end, base_accesses, record
+            op = self.finished[key] = HLOp(uid, proc, kind, arg, ret, start, step, acc, record)
+        self.hlops.append(op)
         p.mem = action.memory
         p.opidx += 1
         p.phase = _IDLE
@@ -658,7 +690,7 @@ def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execu
     flattened, deterministically ordered (process, value) choice list of
     :meth:`_Sim.choices` is picked uniformly, so it needs no
     :meth:`_Sim.check`.  The index is drawn as ``randrange(n)`` draws it on
-    CPython 3.10-3.12 (``getrandbits(n.bit_length())`` until it is below
+    CPython 3.10-3.13 (``getrandbits(n.bit_length())`` until it is below
     ``n``), so identical seeds give identical executions on each of them.
 
     The walk keeps its decision surface as it goes: ``live``, the processes

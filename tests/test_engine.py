@@ -94,6 +94,23 @@ def test_invalid_decisions_rejected():
         run_schedule(safe, wl2, [(0, None), (1, None), (1, None), (0, None)])
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_decision_process_must_be_an_exact_int(bad):
+    # True and 1.0 compare equal to process 1 but name no choice.
+    wl = [[("Write", 1)], [("Read", None)]]
+    with pytest.raises(InvalidDecision, match=f"process {bad!r} is not an integer"):
+        run_schedule(atomic_bit(), wl, [(0, None), (0, None), (bad, None), (1, None)])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_adversary_value_must_be_an_exact_int(bad):
+    # On a safe overlap True and 1.0 pass ``in range(2)``; refused as a
+    # decision, not later as the protocol's bad Read return.
+    wl = [[("Write", 0)], [("Read", None)]]
+    with pytest.raises(InvalidDecision, match=f"process 1: value {bad!r} is not an integer"):
+        run_schedule(safe_bit(), wl, [(0, None), (1, None), (1, bad), (0, None)])
+
+
 def test_run_schedule_rejects_value_outside_regular_set():
     # The Read overlaps no Write, so a regular base register must return
     # the initial value; any other, inside the domain, is refused.
@@ -575,6 +592,7 @@ BAD_RETURNS = {
     "bool": (True, "op 0: ret True is not an integer"),
     "float": (1.0, "op 0: ret 1.0 is not an integer"),
     "none": (None, "op 0: Read must carry ret iff completed"),
+    "list": ([1], "op 0: ret [1] is not an integer"),
 }
 
 

@@ -1,0 +1,143 @@
+"""Each distinct finished op is built once per walk and then shared.
+
+``enumerate_executions`` keeps one ``_Sim`` for the whole walk, which
+builds an op's ``HLOp`` and record on the first finish of its kind and
+hands out that object on every later one.  ``run_schedule`` replays on a
+fresh ``_Sim`` and so always builds: it is the slow path these tests
+compare against, leaf by leaf.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from regsim import HistoryError, ProtocolSpec, SemanticsLevel, enumerate_executions, run_schedule
+from regsim.cli import main
+from regsim.engine import BaseRegisterSpec, ReadAction, ReturnAction, StepProgram, WriteAction
+from regsim.scenario import build_protocol, load_scenario, scenario_from_dict
+from regsim.timestamp import CTS, LABELING, SCAN
+
+from test_cli import write_config
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def bench_tree(construction, n, workload, **extra):
+    """A scenario of the benchmark's ``enumerate`` workload, with fixed
+    Write args (the benchmark draws them per seed; the tree's shape and
+    its number of distinct finishes do not depend on them)."""
+    return scenario_from_dict({
+        "construction": construction, "n": n, "mode": "enumerate", "seed": 0,
+        "workload": [[{"kind": k, **({} if a is None else {"arg": a})} for k, a in ops]
+                     for ops in workload],
+        **extra,
+    })
+
+
+#: name: (scenario, distinct finishes of its whole tree, or None for a
+#: shipped scenario, whose count is only checked against its executions).
+WORKLOADS = {
+    **{path.stem: (load_scenario(str(path)), None) for path in sorted(SCENARIOS.glob("*.json"))},
+    "multiwriter": (bench_tree("multiwriter", 2, [[("W", 1)], [("W", 2), ("R", None)]]), 129),
+    "mr_nowriteback": (bench_tree("multireader_nowriteback", 2,
+                                  [[("W", 1)], [("R", None)], [("R", None)]]), 288),
+    "cts": (bench_tree("cts", 2, [[("L", 1)], [("L", 2), ("S", None)]]), 168),
+    "regular_bit": (bench_tree("regular_bit", 2, [[("W", 1), ("W", 0)],
+                                                  [("R", None), ("R", None)], [("R", None)]]), 330),
+    "raw_safe": (bench_tree("raw_register", 1, [[("W", 1), ("W", 2), ("W", 3)],
+                                                [("R", None), ("R", None)]],
+                            domain=8, base_semantics="safe"), 437),
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_walk_builds_what_a_replay_builds_and_shares_each_finish(name):
+    sc, distinct = WORKLOADS[name]
+    spec = build_protocol(sc)
+    res = enumerate_executions(spec, sc.workload, sc.limits)
+    assert res.count == len(res.executions) > 0
+    finishes, objects = set(), set()
+    for e in res.executions:
+        replay = run_schedule(spec, sc.workload, e.decisions)
+        assert replay == e
+        # HLOp equality leaves the record out; repr tells apart what
+        # equality does not.
+        assert [(repr(op), repr(op.record)) for op in replay.ops] == \
+            [(repr(op), repr(op.record)) for op in e.ops]
+        opidx = dict.fromkeys(range(spec.n_processes), -1)
+        for op in sorted(e.ops, key=lambda op: op.op_id):
+            opidx[op.proc] += 1
+            # The return by repr, which tells 1 from True from 1.0 at any depth.
+            finishes.add((op.op_id, op.proc, opidx[op.proc], op.start, op.end,
+                          op.base_accesses, repr(op.ret)))
+            objects.add(id(op))
+    assert len(objects) == len(finishes)
+    if distinct is not None:
+        assert len(finishes) == distinct
+
+
+class OneOrTrueProgram(StepProgram):
+    """A raw register over a safe base whose Read returns 1 when it read 0
+    and True when it read 1: two sibling finishes at the same uid, steps and
+    access count whose returns compare equal and hash alike."""
+
+    def begin(self, proc, mem, kind, arg):
+        return (WriteAction(0, arg) if kind == "Write" else ReadAction(0)), kind
+
+    def resume(self, proc, mem, state, result):
+        return ReturnAction((1 if result == 0 else True) if state == "Read" else None, mem), None
+
+
+#: Process 0 reads and process 1 writes, so the first Read to overlap the
+#: Write, and so the first to return True, is op 0.
+ONE_OR_TRUE = ProtocolSpec(
+    "one_or_true", 2,
+    (BaseRegisterSpec("R", 1, frozenset({0}), 2, 0, SemanticsLevel.SAFE),),
+    OneOrTrueProgram(), {"Read": 1, "Write": 1}, "X", 2, 0, frozenset({1}), frozenset({0}),
+)
+ONE_OR_TRUE_WORKLOAD = [[("Read", None)], [("Write", 1)]]
+
+
+def test_true_after_an_equal_one_is_still_refused():
+    with pytest.raises(HistoryError) as raised:
+        enumerate_executions(ONE_OR_TRUE, ONE_OR_TRUE_WORKLOAD)
+    assert str(raised.value) == "op 0: ret True is not an integer"
+
+
+def test_true_after_an_equal_one_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("regsim.cli.build_protocol", lambda sc: ONE_OR_TRUE)
+    cfg = write_config(tmp_path, workload=[[{"kind": "R"}], [{"kind": "W", "arg": 1}]])
+    assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", "error: op 0: ret True is not an integer\n")
+
+
+class NestedReturnsProgram(StepProgram):
+    """A timestamp-shaped protocol over a safe base: a Labeling writes and
+    a Scan reads it, returning one entry whose payload is 1 when it read 0
+    and True when it read 1, so that two sibling finishes differ only in
+    the type of a return nested two deep."""
+
+    def begin(self, proc, mem, kind, arg):
+        return (WriteAction(0, arg) if kind == LABELING else ReadAction(0)), kind
+
+    def resume(self, proc, mem, state, result):
+        if state == LABELING:
+            return ReturnAction((1, proc), mem), None
+        return ReturnAction(((1, 1, 1, 1 if result == 0 else True),), mem), None
+
+
+def test_nested_returns_of_different_types_do_not_share_an_op():
+    spec = ProtocolSpec(
+        "nested_returns", 2,
+        (BaseRegisterSpec("R", 1, frozenset({0}), 2, 0, SemanticsLevel.SAFE),),
+        NestedReturnsProgram(), {LABELING: 1, SCAN: 1}, None, 2, 0,
+        frozenset({1}), frozenset({0}), CTS,
+    )
+    wl = [[(SCAN, None)], [(LABELING, 1)]]
+    payloads = set()
+    for e in enumerate_executions(spec, wl).executions:
+        replay = run_schedule(spec, wl, e.decisions)
+        assert [(repr(op), repr(op.record)) for op in replay.ops] == \
+            [(repr(op), repr(op.record)) for op in e.ops]
+        payloads.update(repr(op.record.result[0].payload) for op in e.ops if op.kind == SCAN)
+    assert payloads == {"1", "True"}
