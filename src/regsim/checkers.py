@@ -96,7 +96,7 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     for r in h.ops:  # already sorted by start
         if r.kind is not OpKind.READ or r.end is None:
             continue
-        allowed = read_values(vars[r.var], writes.get(r.var), r, level)
+        allowed = read_values(vars[r.var], writes.get(r.var), r.start, r.end, level)
         if r.ret not in allowed:
             return Verdict(
                 ok=False,

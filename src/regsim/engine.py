@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .checkers import Verdict, check_level
 from .history import (History, HistoryError, OpKind, OpRecord, SemanticsLevel, VarSpec,
-                      parse_trace, serialize_trace, slot_init)
+                      parse_trace, read_values, serialize_trace, slot_init)
 
 
 class EngineError(RuntimeError):
@@ -289,6 +289,10 @@ class _Choices(Sequence):
 
 _IDLE, _PENDING_INVOKE, _MID, _ENDING = range(4)
 
+#: A pending Write's end in the engine's Write logs: always this one
+#: object, so that a test for a pending Write is an identity test.
+_INF = float("inf")
+
 
 def _ret_key(ret: object) -> object:
     """A hashable key of an op's return, equal for two returns only when
@@ -360,11 +364,12 @@ class _Sim:
         self.regs = spec.registers
         self.step = 0
         self.next_uid = 0
-        # Per register, its Writes' intervals as mutable [start, end|None,
-        # value] records in start order, the first its initial value, as a
-        # Write ended before step 0: its one writer is sequential, so only
-        # the last may be pending.
-        self.reg_writes: list[list[list]] = [[[-2, -1, r.init]] for r in self.regs]
+        # Per register, its Writes as history.write_index logs a variable's:
+        # (ends, starts, args) in start order, a pending Write's end
+        # infinite.  The first is its initial value, as a Write that ended
+        # at step -1; its one writer is sequential, so only the last may be
+        # pending.
+        self.reg_writes = [([-1], [-2], [r.init]) for r in self.regs]
         self.events: list[Event] = []
         self.hlops: list[HLOp] = []
         # Each distinct finish's HLOp, by its key (_finish_op).
@@ -380,25 +385,16 @@ class _Sim:
 
     def feasible(self, proc: int) -> Sequence[int]:
         """Adversary choices for the safe/regular base Read ``proc`` is about
-        to complete, computed at respond time from the register's base
-        history so far (pending Writes overlap everything after them).  Its
-        one writer is sequential, so the last Write ended is the latest; the
-        log's first record, the initial value, ends before every Read."""
+        to complete at this step: exactly the values
+        :func:`~regsim.history.read_values`, the one rule by which the
+        checker judges a Read, allows it over the register's Write log.  A
+        safe ``range`` is kept as it is; any other set comes in value
+        order."""
         p = self.procs[proc]
         reg_idx = p.action.reg
         reg = self.regs[reg_idx]
-        r_inv = p.binv
-        overlapping = []
-        for s, e, v in self.reg_writes[reg_idx]:
-            if e is not None and e < r_inv:
-                latest_val = v
-            else:
-                overlapping.append(v)
-        if not overlapping:
-            return (latest_val,)
-        if reg.semantics is SemanticsLevel.SAFE:
-            return range(reg.domain)
-        return tuple(sorted({latest_val, *overlapping}))
+        values = read_values(reg, self.reg_writes[reg_idx], p.binv, self.step, reg.semantics)
+        return values if type(values) is range else tuple(sorted(values))
 
     def choices(self) -> Sequence[Decision]:
         """This node's decisions in process order: (proc, None) for a
@@ -443,15 +439,15 @@ class _Sim:
 
     def apply(self, proc: int, value: int | None):
         """Perform one scheduler event for ``proc``; returns an undo token:
-        (proc, its saved state, the Write record the event opened or closed
-        or None).  The decision must be one of :meth:`choices`: callers that
-        did not take it from there :meth:`check` it first."""
+        (proc, its saved state, the Write log of the Write the event invoked
+        or ended, or None).  The decision must be one of :meth:`choices`:
+        callers that did not take it from there :meth:`check` it first."""
         p = self.procs[proc]
         phase, action = p.phase, p.action
         snap = (p.mem, p.state, phase, action, p.opidx, p.first, p.acc, p.uid, p.binv)
         step = self.step
         self.step += 1
-        rec = None
+        log = None
 
         if phase == _IDLE:
             p.uid = self.next_uid
@@ -465,15 +461,15 @@ class _Sim:
                 p.action = action
                 self.events.append((step, proc, "ob", None, None, None, p.uid))
             else:
-                rec = self._invoke(p, proc, action, state, step)
+                log = self._invoke(p, proc, action, state, step)
         elif phase == _PENDING_INVOKE:
-            rec = self._invoke(p, proc, action, p.state, step)
+            log = self._invoke(p, proc, action, p.state, step)
         elif phase == _MID:
             reg_idx = action.reg
-            log = self.reg_writes[reg_idx]
+            writes = self.reg_writes[reg_idx]
             if type(action) is WriteAction:
-                rec = log[-1]  # the writer's pending Write
-                rec[1] = step
+                writes[0][-1] = step  # the writer's pending Write ends
+                log = writes
                 result = None
                 self.events.append((step, proc, "br", reg_idx, "W", action.value, p.uid))
             else:
@@ -483,7 +479,7 @@ class _Sim:
                 if self.weak[reg_idx]:
                     result = value
                 else:
-                    result = log[-1][2] if log[-1][1] is not None else log[-2][2]
+                    result = writes[2][-1] if writes[0][-1] is not _INF else writes[2][-2]
                 self.events.append((step, proc, "br", reg_idx, "R", result, p.uid))
             nxt, state = self.program.resume(proc, p.mem, p.state, result)
             if type(nxt) is ReturnAction:
@@ -497,7 +493,7 @@ class _Sim:
             self._finish_op(p, proc, action, step)
 
         self.decisions.append((proc, value))
-        return (proc, snap, rec)
+        return (proc, snap, log)
 
     def _check_action(self, proc: int, action) -> None:
         if type(action) is ReadAction:
@@ -513,7 +509,7 @@ class _Sim:
         else:
             raise EngineError(f"program produced invalid action {action!r}")
 
-    def _invoke(self, p: _Proc, proc: int, action, state, step: int) -> list | None:
+    def _invoke(self, p: _Proc, proc: int, action, state, step: int) -> tuple | None:
         self._check_action(proc, action)
         p.acc += 1
         kind = self.workload[proc][p.opidx][0]
@@ -522,18 +518,20 @@ class _Sim:
                 f"{kind} by proc {proc} exceeded declared budget {self.spec.budgets[kind]}"
             )
         reg_idx = action.reg
-        rec = None
+        log = None
         if type(action) is WriteAction:
             self.events.append((step, proc, "bi", reg_idx, "W", action.value, p.uid))
-            rec = [step, None, action.value]
-            self.reg_writes[reg_idx].append(rec)
+            log = self.reg_writes[reg_idx]
+            log[0].append(_INF)
+            log[1].append(step)
+            log[2].append(action.value)
         else:
             self.events.append((step, proc, "bi", reg_idx, "R", None, p.uid))
             p.binv = step
         p.action = action
         p.state = state
         p.phase = _MID
-        return rec
+        return log
 
     def _finish_op(self, p: _Proc, proc: int, action: ReturnAction, step: int) -> None:
         """Append the op ``p`` finishes at ``step``.  Each distinct finish
@@ -557,18 +555,19 @@ class _Sim:
         p.state = None
 
     def undo(self, token) -> None:
-        proc, snap, rec = token
+        proc, snap, log = token
         p = self.procs[proc]
         self.step -= 1
         self.decisions.pop()
         self.events.pop()
         if p.phase == _IDLE:  # the event finished an op
             self.hlops.pop()
-        if rec is not None:
-            if rec[1] is None:  # the event invoked this Write
-                self.reg_writes[p.action.reg].pop()
+        if log is not None:
+            if log[0][-1] is _INF:  # the event invoked this Write
+                for writes in log:
+                    writes.pop()
             else:  # it ended it
-                rec[1] = None
+                log[0][-1] = _INF
         p.mem, p.state, p.phase, p.action, p.opidx, p.first, p.acc, p.uid, p.binv = snap
         if p.phase == _IDLE:  # the event began an op
             self.next_uid -= 1

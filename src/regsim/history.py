@@ -301,14 +301,17 @@ def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
     spec = h.vars[r.var]
     if len(spec.writers) > 1:
         raise HistoryError(f"var {r.var!r}: classification undefined, use Atomic")
-    return set(read_values(spec, write_index(h).get(r.var), r, level))
+    return set(read_values(spec, write_index(h).get(r.var), r.start, r.end, level))
 
 
 def write_index(h: History) -> dict[str, tuple[list, list[int], list[int]]]:
     """Per variable, its Writes' ends (a pending Write's is infinite),
     starts and args, in start order: one pass over the history.
 
-    A single writer's Writes are totally ordered, so on a single-writer
+    This is the one Write-log format.  The engine keeps each base
+    register's Writes in it as they happen, its initial value as a Write
+    that ended at step -1, and :func:`read_values` reads it for both.  A
+    single writer's Writes are totally ordered, so on a single-writer
     variable the ends come out sorted as well as the starts.
     """
     inf = float("inf")
@@ -327,25 +330,31 @@ def write_index(h: History) -> dict[str, tuple[list, list[int], list[int]]]:
 def read_values(
     spec: VarSpec,
     writes: tuple[list, list[int], list[int]] | None,
-    r: OpRecord,
+    start: int,
+    end: int,
     level: SemanticsLevel,
 ) -> set[int] | range:
-    """:func:`feasible_values` of the completed Read ``r`` on a
-    single-writer variable, given that variable's :func:`write_index` entry
-    (None if it has no Writes): two bisections, O(log n).  Where Safe
-    admits the whole domain it is ``range(spec.domain)``, which tests
-    membership without holding a value per member.
+    """The safe/regular rule for one Read: the values a completed Read from
+    ``start`` to ``end`` may return at ``level`` on a single-writer
+    variable, given that variable's :func:`write_index` log (None if it has
+    no Writes) and its ``spec`` (anything with a ``domain`` and an
+    ``init``).  It is the one definition of both levels: the checker judges
+    each Read by it (:func:`feasible_values`, ``check_level``), and the
+    engine's adversary offers exactly its values to a safe or regular base
+    Read.  Two bisections, O(log n).  Where Safe admits the whole domain it
+    is ``range(spec.domain)``, which tests membership without holding a
+    value per member.
 
-    The Writes that end before ``r`` starts are a prefix; the latest of them
-    is its last.  The Writes that start before ``r`` ends are a prefix at
-    least as long; the ones between the two prefixes overlap ``r``.
+    The Writes that end before the Read starts are a prefix; the latest of
+    them is its last.  The Writes that start before the Read ends are a
+    prefix at least as long; the ones between the two prefixes overlap it.
     """
     if writes is None:
         return {spec.init}
     ends, starts, args = writes
-    k = bisect_left(ends, r.start)
+    k = bisect_left(ends, start)
     latest = args[k - 1] if k else spec.init
-    j = bisect_left(starts, r.end, k)
+    j = bisect_left(starts, end, k)
     if j == k:
         return {latest}
     if level is SemanticsLevel.SAFE:

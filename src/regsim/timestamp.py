@@ -210,11 +210,33 @@ class CtsHistory:
                 raise HistoryError(f"op {op.op_id}: unknown kind {op.kind!r}")
             if not 0 <= op.proc < self.n:
                 raise HistoryError(f"op {op.op_id}: proc {op.proc} out of range")
-            if op.completed:
-                if op.kind == LABELING and op.label is None:
+            if not op.completed:
+                continue
+            # A completed op's outcome, as a trace writes it: a label
+            # (seq, pid), or a tuple of (owner, seq, pid, payload) entries.
+            if op.kind == LABELING:
+                if op.label is None:
                     raise HistoryError(f"op {op.op_id}: completed Labeling without label")
-                if op.kind == SCAN and op.result is None:
-                    raise HistoryError(f"op {op.op_id}: completed Scan without result")
+                label = op.label
+                if not (isinstance(label, tuple) and len(label) == 2 and type(label[0]) is int
+                        and type(label[1]) is int):
+                    raise HistoryError(f"op {op.op_id}: label {label!r} is not 2 integers (seq, pid)")
+            elif op.result is None:
+                raise HistoryError(f"op {op.op_id}: completed Scan without result")
+            elif not isinstance(op.result, tuple):
+                raise HistoryError(f"op {op.op_id}: Scan result {op.result!r} is not a tuple")
+            else:
+                for entry in op.result:
+                    if type(entry) is LabeledObject and type(entry.label) is Label:
+                        tag = entry.label.tag
+                        if (type(tag) is Tag and type(entry.owner) is int and type(tag.seq) is int
+                                and type(tag.pid) is int and type(entry.payload) is int):
+                            continue
+                    elif (isinstance(entry, tuple) and len(entry) == 4
+                          and all(type(field) is int for field in entry)):
+                        continue  # an entry as a protocol returned it
+                    raise HistoryError(f"op {op.op_id}: Scan entry {entry!r} is not 4 integers "
+                                       "(owner, seq, pid, payload)")
 
     @classmethod
     def _from_records(cls, n: int, ops: Iterable[CtsOp]) -> "CtsHistory":
@@ -305,16 +327,35 @@ def check_cts(h: CtsHistory) -> Verdict:
 def _cts_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: int | None,
                 ret: tuple, start: int, end: int) -> CtsOp:
     """A finished Labeling's or Scan's record, from its return value: the
-    assigned (seq, pid), or the scanned (owner, seq, pid, payload) entries
-    in temporal order.  The engine builds it once per op, as ``CTS.record``
-    (``spec`` unused), and it always passes :meth:`CtsHistory._validate`:
-    the engine checked the payload, the kind and the process, and a
-    finished op always has its label or result."""
+    assigned (seq, pid), or a tuple of the scanned (owner, seq, pid,
+    payload) entries in temporal order, each a tuple of exact ints.  The
+    engine builds it once per op, as ``CTS.record``, and checks it once,
+    here: ``_Sim`` checked the payload, the kind and the process, which
+    leaves the return.  A return of any other shape, which no trace could
+    carry, is refused by a CtsHistory of a record that holds it as
+    returned, with that CtsHistory's message; so every record this builds
+    passes :meth:`CtsHistory._validate`."""
     # op_id, proc, kind, start, end, payload, label, result
     if kind == LABELING:
-        return CtsOp(op_id, proc, LABELING, start, end, arg, Tag(*ret))
-    return CtsOp(op_id, proc, SCAN, start, end, None, None, tuple(
-        [LabeledObject(o, Label(Tag(seq, pid)), val) for o, seq, pid, val in ret]))
+        if isinstance(ret, tuple) and len(ret) == 2 and type(ret[0]) is int and type(ret[1]) is int:
+            return CtsOp(op_id, proc, LABELING, start, end, arg, Tag(*ret))
+        record = CtsOp(op_id, proc, LABELING, start, end, arg, ret)
+    else:
+        if isinstance(ret, tuple):
+            result = []
+            for entry in ret:
+                if not isinstance(entry, tuple) or len(entry) != 4:
+                    break
+                owner, seq, pid, payload = entry
+                if (type(owner) is not int or type(seq) is not int or type(pid) is not int
+                        or type(payload) is not int):
+                    break
+                result.append(LabeledObject(owner, Label(Tag(seq, pid)), payload))
+            else:
+                return CtsOp(op_id, proc, SCAN, start, end, None, None, tuple(result))
+        record = CtsOp(op_id, proc, SCAN, start, end, None, None, ret)
+    CtsHistory(spec.n_processes, (record,))  # raises
+    return record
 
 
 def extract_cts_history(execution: Execution) -> CtsHistory:

@@ -6,14 +6,26 @@ reference.
 ``checkers.check_level`` from before each variable's Writes were indexed
 once per check, kept verbatim so that the differential tests can require the
 indexed path to return the same feasible value sets and the same Verdicts.
-They rescan the whole history once per Read, so they only suit small
-histories.
+``feasible_values`` is also the reference for the engine's adversary, which
+offers a safe or regular base Read exactly the values
+``history.read_values`` allows: the checker's own rule, so only this copy
+judges the adversary independently.  Nothing here calls into the checker:
+``_require_single_writer`` is a verbatim copy of ``checkers``'s.  They
+rescan the whole history once per Read, so they only suit small histories.
 """
 
 from __future__ import annotations
 
 from regsim import History, HistoryError, OpKind, OpRecord, SemanticsLevel, Verdict
-from regsim.checkers import _require_single_writer
+
+
+def _require_single_writer(h: History, level: SemanticsLevel) -> None:
+    touched = {op.var for op in h.ops}
+    for var in touched:
+        if len(h.vars[var].writers) > 1:
+            raise HistoryError(
+                f"var {var!r}: {level.name.lower()} classification undefined, use Atomic"
+            )
 
 
 def _overlaps_open(a: OpRecord, b: OpRecord) -> bool:

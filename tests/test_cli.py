@@ -14,6 +14,7 @@ from regsim.engine import REGISTER
 from regsim.timestamp import CTS
 
 from test_engine import BAD_RETURNS, BadReturnProgram
+from test_timestamp import BAD_CTS_RETURNS, with_bad_return
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -160,6 +161,20 @@ def test_bad_read_return_exit_two(tmp_path, monkeypatch, capsys, command, case):
     )
     cfg = write_config(tmp_path, construction="raw_register", n=1, domain=2,
                        workload=[[], [{"kind": "R"}]])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case", BAD_CTS_RETURNS)
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_bad_cts_return_exit_two(tmp_path, monkeypatch, capsys, command, case):
+    # simulate once wrote a trace that check refused, or ended in a traceback
+    kind, bad, message = BAD_CTS_RETURNS[case]
+    build = scenario._BUILDERS["cts"]
+    monkeypatch.setitem(scenario._BUILDERS, "cts",
+                        lambda sc: with_bad_return(build(sc), kind, bad))
+    op = {"kind": "L", "arg": 1} if kind == timestamp.LABELING else {"kind": "S"}
+    cfg = write_config(tmp_path, construction="cts", n=2, workload=[[op], []])
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,9 +16,11 @@ from regsim import (
     enumerate_executions,
     extract_cts_history,
     random_execution,
+    run_schedule,
     scan_order,
     tag_less,
 )
+from regsim.engine import ReturnAction, StepProgram
 from regsim.timestamp import (
     LABELING,
     SCAN,
@@ -235,6 +238,109 @@ def test_cts_non_integer_process_count_rejected(bad):
     # reader accepts.
     with pytest.raises(HistoryError, match=f"n {bad!r} is not an integer"):
         CtsHistory(n=bad, ops=(CtsOp(0, 0, LABELING, 0, 1, 1, Tag(1, 0)),))
+
+
+class BadReturnCts(StepProgram):
+    """The cts program, with each op of ``kind`` returning ``bad`` in place
+    of its own return."""
+
+    def __init__(self, inner, kind, bad):
+        self.inner, self.kind, self.bad = inner, kind, bad
+
+    def _swap(self, kind, step):
+        action, state = step
+        if kind == self.kind and type(action) is ReturnAction:
+            action = ReturnAction(self.bad, action.memory)
+        return action, (kind, state)
+
+    def begin(self, proc, mem, kind, arg):
+        return self._swap(kind, self.inner.begin(proc, mem, kind, arg))
+
+    def resume(self, proc, mem, state, result):
+        kind, state = state
+        return self._swap(kind, self.inner.resume(proc, mem, state, result))
+
+
+def with_bad_return(spec, kind, bad):
+    return dataclasses.replace(spec, program=BadReturnCts(spec.program, kind, bad))
+
+
+NOT_AN_ENTRY = " is not 4 integers (owner, seq, pid, payload)"
+NOT_A_LABEL = " is not 2 integers (seq, pid)"
+
+#: A cts return that no trace could carry: (the op kind that returns it,
+#: the return, the message CtsHistory gives its record as op 0).
+BAD_CTS_RETURNS = {
+    "payload_bool": (SCAN, ((0, 0, 0, True), (1, 0, 1, 0)),
+                     "op 0: Scan entry (0, 0, 0, True)" + NOT_AN_ENTRY),
+    "owner_float": (SCAN, ((0.0, 0, 0, 0), (1, 0, 1, 0)),
+                    "op 0: Scan entry (0.0, 0, 0, 0)" + NOT_AN_ENTRY),
+    "entry_of_three": (SCAN, ((0, 0, 0), (1, 0, 1, 0)), "op 0: Scan entry (0, 0, 0)" + NOT_AN_ENTRY),
+    "entry_list": (SCAN, ((1, 0, 1, 0), [0, 0, 0, 0]),
+                   "op 0: Scan entry [0, 0, 0, 0]" + NOT_AN_ENTRY),
+    "result_list": (SCAN, [(0, 0, 0, 0), (1, 0, 1, 0)],
+                    "op 0: Scan result [(0, 0, 0, 0), (1, 0, 1, 0)] is not a tuple"),
+    "result_none": (SCAN, None, "op 0: completed Scan without result"),
+    "seq_half": (LABELING, (0.5, 0), "op 0: label (0.5, 0)" + NOT_A_LABEL),
+    "pid_bool": (LABELING, (1, False), "op 0: label (1, False)" + NOT_A_LABEL),
+    "label_of_three": (LABELING, (1, 0, 0), "op 0: label (1, 0, 0)" + NOT_A_LABEL),
+    "label_int": (LABELING, 1, "op 0: label 1" + NOT_A_LABEL),
+}
+
+
+def bad_cts_workload(kind):
+    return [[(kind, 1 if kind == LABELING else None)], []]
+
+
+@pytest.mark.parametrize("entry", ["run_schedule", "random_execution", "enumerate_executions"])
+@pytest.mark.parametrize("case", BAD_CTS_RETURNS)
+def test_bad_cts_return_refused_when_the_op_finishes(case, entry):
+    # Such a return once got a record, and simulate wrote a trace that
+    # parse_cts_trace refused (or, for an entry of three, a bare ValueError).
+    kind, bad, message = BAD_CTS_RETURNS[case]
+    spec, wl = with_bad_return(build_cts(2), kind, bad), bad_cts_workload(kind)
+    # Two events per base access: a Labeling reads both registers and
+    # writes its own, a Scan reads both.
+    steps = 6 if kind == LABELING else 4
+    run = {
+        "run_schedule": lambda: run_schedule(spec, wl, [(0, None)] * steps),
+        "random_execution": lambda: random_execution(spec, wl, 0),
+        "enumerate_executions": lambda: enumerate_executions(spec, wl),
+    }[entry]
+    with pytest.raises(HistoryError) as raised:
+        run()
+    assert str(raised.value) == message
+
+
+def test_well_formed_cts_returns_of_any_tuple_type_are_recorded():
+    # A NamedTuple is a tuple: a Labeling may return its Tag as it is.
+    spec = with_bad_return(build_cts(2), LABELING, Tag(3, 0))
+    h = extract_cts_history(random_execution(spec, bad_cts_workload(LABELING), 0))
+    assert h.ops[0].label == Tag(3, 0)
+    assert parse_cts_trace(serialize_cts_trace(h)) == h
+
+
+@pytest.mark.parametrize("op, message", [
+    (CtsOp(0, 0, LABELING, 0, 1, 1, Tag(1, True)), "op 0: label Tag(seq=1, pid=True)" + NOT_A_LABEL),
+    (CtsOp(0, 0, SCAN, 0, 1, result=(obj(0, 0.5, 0),)),
+     "op 0: Scan entry LabeledObject(owner=0, label=Label(tag=Tag(seq=0.5, pid=0)), payload=0)"
+     + NOT_AN_ENTRY),
+    (CtsOp(0, 0, SCAN, 0, 1, result=(obj(0, 1, 0, True),)),
+     "op 0: Scan entry LabeledObject(owner=0, label=Label(tag=Tag(seq=1, pid=0)), payload=True)"
+     + NOT_AN_ENTRY),
+    (CtsOp(0, 0, SCAN, 0, 1, result=[obj(0, 1, 0)]),
+     "op 0: Scan result [LabeledObject(owner=0, label=Label(tag=Tag(seq=1, pid=0)), payload=0)]"
+     " is not a tuple"),
+    (CtsOp(0, 0, SCAN, 0, 1, result=(LabeledObject(0, Tag(1, 0), 0),)),
+     "op 0: Scan entry LabeledObject(owner=0, label=Tag(seq=1, pid=0), payload=0)" + NOT_AN_ENTRY),
+], ids=["label", "entry_seq", "entry_payload", "result_list", "entry_label_not_a_label"])
+def test_cts_history_refuses_an_outcome_no_trace_can_carry(op, message):
+    # serialize_cts_trace once wrote "ret":[1,true], which parse_cts_trace
+    # refuses; check_cts judged a list result out of order, and ended in an
+    # AttributeError on an entry whose label is not a Label.
+    with pytest.raises(HistoryError) as raised:
+        CtsHistory(n=1, ops=(op,))
+    assert str(raised.value) == message
 
 
 # -- trace codec --------------------------------------------------------------
