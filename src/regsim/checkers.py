@@ -103,7 +103,7 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
                 violating_op=r.op_id,
                 reason=(
                     f"Read {r.op_id} on {r.var!r} returned {r.ret}, "
-                    f"{level.name.lower()} semantics allows {sorted(allowed)}"
+                    f"{level.name.lower()} semantics allows {list(allowed)}"
                 ),
             )
     return PASS

@@ -287,7 +287,17 @@ class _Choices(Sequence):
         return ((proc, v) for proc, values, _ in self.branches for v in values)
 
 
-_IDLE, _PENDING_INVOKE, _MID, _ENDING = range(4)
+# A process's phase, the one record of what it may do at a node:
+#   _IDLE            between ops, the next not begun: it may step (begin);
+#   _DONE            its last op finished: it never steps again;
+#   _PENDING_INVOKE  its next base access chosen: it may step (invoke);
+#   _MID             a base Write or atomic base Read invoked: it may step
+#                    (respond);
+#   _AWAIT           a safe or regular base Read invoked: it responds with
+#                    the value the adversary chooses;
+#   _ENDING          an op with no base access begun: it may step (end).
+# The two between ops come first: ``phase <= _DONE`` tests for either.
+_IDLE, _DONE, _PENDING_INVOKE, _MID, _AWAIT, _ENDING = range(6)
 
 #: A pending Write's end in the engine's Write logs: always this one
 #: object, so that a test for a pending Write is an identity test.
@@ -310,17 +320,20 @@ def _ret_key(ret: object) -> object:
 
 
 class _Proc:
-    """One process's runtime state.  Its current op is
+    """One process's runtime state.  ``phase``, one of the phases above, is
+    the one record of whether it is done, may step, or awaits the
+    adversary: only ``_Sim._invoke`` and ``_Sim._finish_op``, which set it,
+    ask the base semantics or the workload.  Its current op is
     ``workload[proc][opidx]``, begun at step ``first`` as op ``uid``, with
     ``acc`` base accesses so far; ``binv`` is the invoke step of its
     current base Read."""
 
     __slots__ = ("mem", "state", "phase", "action", "opidx", "first", "acc", "uid", "binv")
 
-    def __init__(self, mem: object):
+    def __init__(self, mem: object, phase: int):
         self.mem = mem
         self.state = self.action = self.first = self.acc = self.uid = self.binv = None
-        self.phase = _IDLE
+        self.phase = phase
         self.opidx = 0
 
 
@@ -375,8 +388,8 @@ class _Sim:
         # Each distinct finish's HLOp, by its key (_finish_op).
         self.finished: dict[tuple, HLOp] = {}
         self.decisions: list[Decision] = []
-        self.procs = [_Proc(self.program.initial_memory(proc)) for proc in range(spec.n_processes)]
-        self.n_ops = [len(ops) for ops in self.workload]
+        self.procs = [_Proc(self.program.initial_memory(proc), _IDLE if ops else _DONE)
+                      for proc, ops in enumerate(self.workload)]
         # Registers whose base Reads the adversary answers.
         self.weak = [r.semantics is not SemanticsLevel.ATOMIC for r in self.regs]
         self.step_choice = [(proc, None) for proc in range(spec.n_processes)]
@@ -385,31 +398,28 @@ class _Sim:
 
     def feasible(self, proc: int) -> Sequence[int]:
         """Adversary choices for the safe/regular base Read ``proc`` is about
-        to complete at this step: exactly the values
+        to complete at this step, in value order: exactly the values
         :func:`~regsim.history.read_values`, the one rule by which the
-        checker judges a Read, allows it over the register's Write log.  A
-        safe ``range`` is kept as it is; any other set comes in value
-        order."""
+        checker judges a Read, gives over the register's Write log."""
         p = self.procs[proc]
         reg_idx = p.action.reg
         reg = self.regs[reg_idx]
-        values = read_values(reg, self.reg_writes[reg_idx], p.binv, self.step, reg.semantics)
-        return values if type(values) is range else tuple(sorted(values))
+        return read_values(reg, self.reg_writes[reg_idx], p.binv, self.step, reg.semantics)
 
     def choices(self) -> Sequence[Decision]:
-        """This node's decisions in process order: (proc, None) for a
-        scheduler step, then (proc, v) for each value an adversary-answered
-        base Read may return.  Where the adversary chooses, the list is a
-        lazy :class:`_Choices` that keeps each value set as computed."""
+        """This node's decisions in process order, read from each process's
+        phase: none for a ``_DONE`` process, (proc, v) for each value
+        :meth:`feasible` offers an ``_AWAIT`` one, (proc, None) for a
+        scheduler step of any other.  Where the adversary chooses, the list
+        is a lazy :class:`_Choices` that keeps each value set as computed."""
         out: list = []  # (proc, None) steps and (proc, values) adversary branches
         adversary = False
         for proc, p in enumerate(self.procs):
             phase = p.phase
-            action = p.action
-            if phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
+            if phase == _AWAIT:
                 out.append((proc, self.feasible(proc)))
                 adversary = True
-            elif phase != _IDLE or p.opidx < self.n_ops[proc]:
+            elif phase != _DONE:
                 out.append(self.step_choice[proc])
         if not adversary:
             return out
@@ -420,14 +430,16 @@ class _Sim:
     def check(self, proc: int, value: int | None) -> None:
         """Raise :class:`InvalidDecision` unless ``(proc, value)`` is one of
         this node's :meth:`choices`, whose processes and values are exact
-        ints: ``True`` or ``1.0`` compares equal to 1 but names no choice."""
+        ints: ``True`` or ``1.0`` compares equal to 1 but names no choice.
+        It reads the phase as :meth:`choices` does: a ``_DONE`` process has
+        no choice, an ``_AWAIT`` one needs a feasible value, any other
+        none."""
         if type(proc) is not int:
             raise InvalidDecision(f"process {proc!r} is not an integer")
         p = self.procs[proc] if 0 <= proc < self.spec.n_processes else None
-        if p is None or p.phase == _IDLE and p.opidx >= self.n_ops[proc]:
+        if p is None or p.phase == _DONE:
             raise InvalidDecision(f"process {proc} has no pending step")
-        action = p.action
-        if p.phase == _MID and type(action) is ReadAction and self.weak[action.reg]:
+        if p.phase == _AWAIT:
             if value is None:
                 raise InvalidDecision(f"process {proc}: adversary value required")
             if type(value) is not int:
@@ -464,7 +476,10 @@ class _Sim:
                 log = self._invoke(p, proc, action, state, step)
         elif phase == _PENDING_INVOKE:
             log = self._invoke(p, proc, action, p.state, step)
-        elif phase == _MID:
+        elif phase == _ENDING:
+            self.events.append((step, proc, "oe", None, None, None, p.uid))
+            self._finish_op(p, proc, action, step)
+        else:  # _MID or _AWAIT: the base access responds
             reg_idx = action.reg
             writes = self.reg_writes[reg_idx]
             if type(action) is WriteAction:
@@ -473,12 +488,13 @@ class _Sim:
                 result = None
                 self.events.append((step, proc, "br", reg_idx, "W", action.value, p.uid))
             else:
-                # An atomic Write takes effect at its respond, so an atomic
-                # Read returns the latest ended Write's value: the log's
-                # last, or the one before it while the last is pending.
-                if self.weak[reg_idx]:
+                if phase == _AWAIT:
                     result = value
                 else:
+                    # An atomic Write takes effect at its respond, so an
+                    # atomic Read returns the latest ended Write's value: the
+                    # log's last, or the one before it while the last is
+                    # pending.
                     result = writes[2][-1] if writes[0][-1] is not _INF else writes[2][-2]
                 self.events.append((step, proc, "br", reg_idx, "R", result, p.uid))
             nxt, state = self.program.resume(proc, p.mem, p.state, result)
@@ -488,14 +504,14 @@ class _Sim:
                 p.action = nxt
                 p.state = state
                 p.phase = _PENDING_INVOKE
-        else:  # _ENDING
-            self.events.append((step, proc, "oe", None, None, None, p.uid))
-            self._finish_op(p, proc, action, step)
 
         self.decisions.append((proc, value))
         return (proc, snap, log)
 
-    def _check_action(self, proc: int, action) -> None:
+    def _invoke(self, p: _Proc, proc: int, action, state, step: int) -> tuple | None:
+        """Invoke the base access ``action`` of ``p`` at ``step``, once the
+        program may take it.  The phase it sets is ``_AWAIT`` for a Read of
+        a register whose Reads the adversary answers, else ``_MID``."""
         if type(action) is ReadAction:
             reg = self.regs[action.reg]
             if proc not in reg.readers:
@@ -508,9 +524,6 @@ class _Sim:
                 raise EngineError(f"value {action.value} outside domain of {reg.name}")
         else:
             raise EngineError(f"program produced invalid action {action!r}")
-
-    def _invoke(self, p: _Proc, proc: int, action, state, step: int) -> tuple | None:
-        self._check_action(proc, action)
         p.acc += 1
         kind = self.workload[proc][p.opidx][0]
         if p.acc > self.spec.budgets[kind]:
@@ -525,16 +538,18 @@ class _Sim:
             log[0].append(_INF)
             log[1].append(step)
             log[2].append(action.value)
+            p.phase = _MID
         else:
             self.events.append((step, proc, "bi", reg_idx, "R", None, p.uid))
             p.binv = step
+            p.phase = _AWAIT if self.weak[reg_idx] else _MID
         p.action = action
         p.state = state
-        p.phase = _MID
         return log
 
     def _finish_op(self, p: _Proc, proc: int, action: ReturnAction, step: int) -> None:
-        """Append the op ``p`` finishes at ``step``.  Each distinct finish
+        """Append the op ``p`` finishes at ``step``, and set its phase:
+        ``_DONE`` after its last op, else ``_IDLE``.  Each distinct finish
         is built once per walk and then shared: ``finished`` maps a finish's
         key to its HLOp, record included.  The key holds everything the two
         depend on (``proc`` and ``opidx`` fix the kind and arg), the return
@@ -550,7 +565,7 @@ class _Sim:
         self.hlops.append(op)
         p.mem = action.memory
         p.opidx += 1
-        p.phase = _IDLE
+        p.phase = _IDLE if p.opidx < len(self.workload[proc]) else _DONE
         p.action = None
         p.state = None
 
@@ -560,7 +575,7 @@ class _Sim:
         self.step -= 1
         self.decisions.pop()
         self.events.pop()
-        if p.phase == _IDLE:  # the event finished an op
+        if p.phase <= _DONE:  # the event finished an op: _IDLE or _DONE
             self.hlops.pop()
         if log is not None:
             if log[0][-1] is _INF:  # the event invoked this Write
@@ -692,37 +707,35 @@ def random_execution(spec: ProtocolSpec, workload: Workload, seed: int) -> Execu
     CPython 3.10-3.13 (``getrandbits(n.bit_length())`` until it is below
     ``n``), so identical seeds give identical executions on each of them.
 
-    The walk keeps its decision surface as it goes: ``live``, the processes
-    with work left, in process order, and ``adversary``, those whose
-    safe/regular base Read is pending.  Only the process that stepped can
-    join or leave either, and while ``adversary`` is empty the choice list
-    is exactly ``(p, None)`` for each ``p`` in ``live``, so
-    :meth:`_Sim.choices` is built only while the adversary has a say."""
+    The walk reads the phase of the process that stepped, the only one
+    whose phase an event changes: ``live`` keeps the processes not
+    ``_DONE``, in process order, and ``awaiting`` counts those in
+    ``_AWAIT``.  While none awaits, the choice list is exactly
+    ``(p, None)`` for each ``p`` in ``live``, so :meth:`_Sim.choices` is
+    built only while the adversary has a say."""
     getrandbits = random.Random(seed).getrandbits
     sim = _Sim(spec, workload)
-    apply, procs, n_ops, weak = sim.apply, sim.procs, sim.n_ops, sim.weak
-    live = [proc for proc in range(spec.n_processes) if n_ops[proc]]
-    adversary: set[int] = set()
+    apply, procs = sim.apply, sim.procs
+    live = [proc for proc, p in enumerate(procs) if p.phase != _DONE]
+    awaiting = 0
     while live:
-        choices = sim.choices() if adversary else live
-        n = choices.size if adversary else len(live)
+        choices = sim.choices() if awaiting else live
+        n = choices.size if awaiting else len(live)
         k = n.bit_length()
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
-        if adversary:
+        if awaiting:
             proc, value = choices[i]
-            adversary.discard(proc)
+            if value is not None:  # the adversary answered proc's Read
+                awaiting -= 1
         else:
             proc, value = live[i], None
         apply(proc, value)
-        p = procs[proc]
-        phase = p.phase
-        if phase == _MID:
-            action = p.action
-            if type(action) is ReadAction and weak[action.reg]:
-                adversary.add(proc)
-        elif phase == _IDLE and p.opidx == n_ops[proc]:
+        phase = procs[proc].phase
+        if phase == _AWAIT:
+            awaiting += 1
+        elif phase == _DONE:
             live.remove(proc)
     return sim.snapshot()
 

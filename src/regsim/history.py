@@ -333,33 +333,38 @@ def read_values(
     start: int,
     end: int,
     level: SemanticsLevel,
-) -> set[int] | range:
+) -> tuple[int, ...] | range:
     """The safe/regular rule for one Read: the values a completed Read from
     ``start`` to ``end`` may return at ``level`` on a single-writer
     variable, given that variable's :func:`write_index` log (None if it has
     no Writes) and its ``spec`` (anything with a ``domain`` and an
     ``init``).  It is the one definition of both levels: the checker judges
     each Read by it (:func:`feasible_values`, ``check_level``), and the
-    engine's adversary offers exactly its values to a safe or regular base
-    Read.  Two bisections, O(log n).  Where Safe admits the whole domain it
-    is ``range(spec.domain)``, which tests membership without holding a
-    value per member.
+    engine's adversary offers exactly its values, in this order, to a safe
+    or regular base Read.  Two bisections, O(log n).  The values come in
+    value order, each once, in one of three forms:
+
+    - ``(value,)`` where no Write overlaps the Read;
+    - ``range(spec.domain)`` where Safe admits the whole domain, which
+      tests membership without holding a value per member;
+    - otherwise (Regular) a tuple of the latest preceding value and every
+      overlapping Write's arg.
 
     The Writes that end before the Read starts are a prefix; the latest of
     them is its last.  The Writes that start before the Read ends are a
     prefix at least as long; the ones between the two prefixes overlap it.
     """
     if writes is None:
-        return {spec.init}
+        return (spec.init,)
     ends, starts, args = writes
     k = bisect_left(ends, start)
     latest = args[k - 1] if k else spec.init
     j = bisect_left(starts, end, k)
     if j == k:
-        return {latest}
+        return (latest,)
     if level is SemanticsLevel.SAFE:
         return range(spec.domain)
-    return {latest, *args[k:j]}
+    return tuple(sorted({latest, *args[k:j]}))
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,14 @@ class CtsHistory:
                 raise HistoryError(f"op {op.op_id}: proc {op.proc} out of range")
             if not op.completed:
                 continue
-            # A completed op's outcome, as a trace writes it: a label
-            # (seq, pid), or a tuple of (owner, seq, pid, payload) entries.
+            # A completed op's outcome, of exact ints as a trace writes
+            # them: a Tag (seq, pid), or a tuple of LabeledObject entries
+            # (owner, seq, pid, payload).
             if op.kind == LABELING:
                 if op.label is None:
                     raise HistoryError(f"op {op.op_id}: completed Labeling without label")
                 label = op.label
-                if not (isinstance(label, tuple) and len(label) == 2 and type(label[0]) is int
-                        and type(label[1]) is int):
+                if not (type(label) is Tag and type(label.seq) is int and type(label.pid) is int):
                     raise HistoryError(f"op {op.op_id}: label {label!r} is not 2 integers (seq, pid)")
             elif op.result is None:
                 raise HistoryError(f"op {op.op_id}: completed Scan without result")
@@ -232,9 +232,6 @@ class CtsHistory:
                         if (type(tag) is Tag and type(entry.owner) is int and type(tag.seq) is int
                                 and type(tag.pid) is int and type(entry.payload) is int):
                             continue
-                    elif (isinstance(entry, tuple) and len(entry) == 4
-                          and all(type(field) is int for field in entry)):
-                        continue  # an entry as a protocol returned it
                     raise HistoryError(f"op {op.op_id}: Scan entry {entry!r} is not 4 integers "
                                        "(owner, seq, pid, payload)")
 
@@ -333,8 +330,9 @@ def _cts_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: int |
     here: ``_Sim`` checked the payload, the kind and the process, which
     leaves the return.  A return of any other shape, which no trace could
     carry, is refused by a CtsHistory of a record that holds it as
-    returned, with that CtsHistory's message; so every record this builds
-    passes :meth:`CtsHistory._validate`."""
+    returned, but for the Scan entries before the first bad one, converted,
+    so that CtsHistory's message names that entry; so every record this
+    builds passes :meth:`CtsHistory._validate`."""
     # op_id, proc, kind, start, end, payload, label, result
     if kind == LABELING:
         if isinstance(ret, tuple) and len(ret) == 2 and type(ret[0]) is int and type(ret[1]) is int:
@@ -353,6 +351,7 @@ def _cts_record(spec: ProtocolSpec, op_id: int, proc: int, kind: str, arg: int |
                 result.append(LabeledObject(owner, Label(Tag(seq, pid)), payload))
             else:
                 return CtsOp(op_id, proc, SCAN, start, end, None, None, tuple(result))
+            ret = (*result, *ret[len(result):])
         record = CtsOp(op_id, proc, SCAN, start, end, None, None, ret)
     CtsHistory(spec.n_processes, (record,))  # raises
     return record

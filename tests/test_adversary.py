@@ -6,7 +6,8 @@ allows: the rule the checker judges every Read by.  So the checker cannot
 catch an adversary that is too weak or too strong, and this test judges it
 by ``read_scan.feasible_values`` instead, the per-Read rescan kept outside
 ``regsim``, at every node of whole decision trees where the adversary has a
-say.
+say.  At every node of the same trees, ``_Sim.check`` must refuse exactly
+the decisions ``_Sim.choices`` does not list.
 """
 
 import dataclasses
@@ -15,8 +16,9 @@ import pytest
 
 from read_scan import feasible_values
 from regsim import OpKind, OpRecord, SemanticsLevel, enumerate_executions, extract_history
-from regsim.constructions import build_multiwriter, build_raw_register, build_regular_bit
-from regsim.engine import SCOPE_BASE, _Sim
+from regsim.constructions import (build_multireader, build_multiwriter, build_raw_register,
+                                  build_regular_bit)
+from regsim.engine import SCOPE_BASE, InvalidDecision, _Sim
 
 SAFE, REGULAR = SemanticsLevel.SAFE, SemanticsLevel.REGULAR
 
@@ -56,7 +58,8 @@ def test_adversary_offers_exactly_the_reference_values(name, monkeypatch):
                     if op.proc == proc and op.end is None and op.kind is OpKind.READ)
         done = OpRecord(read.op_id, proc, reg.name, OpKind.READ, read.start, sim.step, None, 0)
         h = dataclasses.replace(h, ops=tuple(done if op is read else op for op in h.ops))
-        assert set(offered) == feasible_values(h, done, reg.semantics)
+        # Each value once, in value order.
+        assert list(offered) == sorted(feasible_values(h, done, reg.semantics))
         checked.append(len(offered))
         return offered
 
@@ -65,3 +68,61 @@ def test_adversary_offers_exactly_the_reference_values(name, monkeypatch):
     assert not res.truncated and res.count == len(res.executions)
     # The trees hold Reads that overlap no Write and Reads that do.
     assert min(checked) == 1 and max(checked) > 1
+
+
+#: name: (protocol, workload, limits): the trees above, walked whole, and a
+#: prefix of a tree whose base Reads are atomic.
+SURFACES = {
+    **{name: (spec, workload, None) for name, (spec, workload) in TREES.items()},
+    "multireader_nowriteback_prefix": (
+        build_multireader(2, writeback=False),
+        [[("Write", 1), ("Write", 2)], [("Read", None)], [("Read", None), ("Read", None)]],
+        {"max_executions": 300},
+    ),
+}
+
+
+def probes(n_processes, listed):
+    """The node's listed decisions, and near misses of them: each value one
+    above and one below, None for a value and 0 for None, ``True`` and
+    ``1.0`` for a process or value of 1 (and ``False`` and ``0.0`` for 0),
+    and every process from -1 to ``n_processes``."""
+    out = list(listed)
+    for proc in range(-1, n_processes + 1):
+        out += [(proc, None), (proc, 0)]
+    for proc, value in listed:
+        out.append((float(proc), value))
+        if proc in (0, 1):
+            out.append((bool(proc), value))
+        if value is not None:
+            out += [(proc, value + 1), (proc, value - 1), (proc, float(value))]
+            if value in (0, 1):
+                out.append((proc, bool(value)))
+    return out
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_check_refuses_exactly_what_choices_does_not_list(name, monkeypatch):
+    spec, workload, limits = SURFACES[name]
+    choices = _Sim.choices
+    seen = {True: 0, False: 0}
+
+    def checked_choices(sim):
+        listed = list(choices(sim))
+        exact = set(listed)  # exact ints and None only, so no two merge
+        for proc, value in probes(spec.n_processes, listed):
+            valid = (type(proc) is int and (value is None or type(value) is int)
+                     and (proc, value) in exact)
+            try:
+                sim.check(proc, value)
+            except InvalidDecision:
+                assert not valid, (sim.decisions, proc, value)
+            else:
+                assert valid, (sim.decisions, proc, value)
+            seen[valid] += 1
+        return listed
+
+    monkeypatch.setattr(_Sim, "choices", checked_choices)
+    res = enumerate_executions(spec, workload, limits, visit=lambda execution: None)
+    assert res.truncated is (limits is not None)
+    assert seen[True] and seen[False]

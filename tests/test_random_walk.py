@@ -1,7 +1,7 @@
 """The seeded random walk against the one it replaced.
 
-``regsim.engine.random_execution`` keeps its live processes and its pending
-adversary Reads as it steps, and draws its index with ``getrandbits``;
+``regsim.engine.random_execution`` reads the phase of each process that
+steps, and draws its index with ``getrandbits``;
 ``random_walk.random_execution`` is the walk before that, kept verbatim,
 which rebuilds the choice list and calls ``randrange`` at every step.  Both
 must give equal executions (events, ops and decisions) for every protocol,
