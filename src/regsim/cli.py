@@ -216,8 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_TRUNCATED
+        pass
+    # Printed only once the handler has dropped the exception: until then
+    # its traceback keeps alive the frames that filled memory.
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_TRUNCATED
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -109,6 +109,69 @@ def _max_tagged(codec: TagCodec, a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Register layouts, each stated once
+# ---------------------------------------------------------------------------
+
+#: The most (base register, reader) pairs one layout may hold.  A builder
+#: refuses a larger size before it allocates anything, so a size no desk
+#: could build is an input error, not an exhausted memory: n**2 pairs for
+#: ``multireader``, ``multiwriter`` and ``cts``, n for ``regular_bit`` and
+#: ``raw_register``.
+MAX_LAYOUT_PAIRS = 1 << 16
+
+
+def _check_size(n: int, pairs: int, who: str) -> None:
+    """Refuse a size ``n`` below 1, or one whose layout would hold more than
+    :data:`MAX_LAYOUT_PAIRS` (register, reader) pairs."""
+    if n < 1:
+        raise EngineError(f"need at least one {who}")
+    if pairs > MAX_LAYOUT_PAIRS:
+        raise EngineError(f"n {n} needs {pairs} (register, reader) pairs, "
+                          f"more than the {MAX_LAYOUT_PAIRS} a layout may hold")
+
+
+def _single_register(name: str, reg_name: str, n_readers: int, domain: int, init: int,
+                     semantics: SemanticsLevel, program: StepProgram) -> ProtocolSpec:
+    """Process 0 writes, processes 1..n_readers read, all against one base
+    register ``reg_name`` of the given semantics."""
+    _check_size(n_readers, n_readers, "reader")
+    readers = frozenset(range(1, n_readers + 1))
+    reg = BaseRegisterSpec(
+        name=reg_name, owner=0, readers=readers, domain=domain, init=init, semantics=semantics
+    )
+    return ProtocolSpec(
+        name=name,
+        n_processes=n_readers + 1,
+        registers=(reg,),
+        program=program,
+        budgets={"Write": 1, "Read": 1},
+        var_name="X",
+        domain=domain,
+        init=init,
+        writers=frozenset({0}),
+        readers=readers,
+    )
+
+
+def _tag_registers(prefix: str, n: int,
+                   domain: int) -> tuple[TagCodec, tuple[BaseRegisterSpec, ...]]:
+    """One atomic 1-writer n-reader register per process p, named
+    ``f"{prefix}{p}"``, holding tag (0, p) and payload 0 at first, and the
+    codec of their (tag, payload) values."""
+    _check_size(n, n * n, "process")
+    codec = TagCodec(n_pids=n, payload_domain=domain)
+    everyone = frozenset(range(n))
+    return codec, tuple(
+        BaseRegisterSpec(
+            name=f"{prefix}{p}", owner=p, readers=everyone,
+            domain=codec.domain, init=codec.encode(0, p, 0),
+            semantics=SemanticsLevel.ATOMIC,
+        )
+        for p in range(n)
+    )
+
+
+# ---------------------------------------------------------------------------
 # raw_register: high-level ops map one-to-one onto one base register
 # ---------------------------------------------------------------------------
 
@@ -131,24 +194,7 @@ def build_raw_register(
 ) -> ProtocolSpec:
     """Process 0 writes, processes 1..n_readers read, all directly against a
     single base register of the given semantics."""
-    if n_readers < 1:
-        raise EngineError("need at least one reader")
-    readers = frozenset(range(1, n_readers + 1))
-    reg = BaseRegisterSpec(
-        name="r0", owner=0, readers=readers, domain=domain, init=init, semantics=semantics
-    )
-    return ProtocolSpec(
-        name="raw_register",
-        n_processes=n_readers + 1,
-        registers=(reg,),
-        program=_RawProgram(),
-        budgets={"Write": 1, "Read": 1},
-        var_name="X",
-        domain=domain,
-        init=init,
-        writers=frozenset({0}),
-        readers=readers,
-    )
+    return _single_register("raw_register", "r0", n_readers, domain, init, semantics, _RawProgram())
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +229,8 @@ class _RegularBitProgram(StepProgram):
 
 def build_regular_bit(n_readers: int) -> ProtocolSpec:
     """Regular 1-writer n-reader boolean register over one safe bit."""
-    if n_readers < 1:
-        raise EngineError("need at least one reader")
-    readers = frozenset(range(1, n_readers + 1))
-    reg = BaseRegisterSpec(
-        name="bit", owner=0, readers=readers, domain=2, init=0,
-        semantics=SemanticsLevel.SAFE,
-    )
-    return ProtocolSpec(
-        name="regular_bit",
-        n_processes=n_readers + 1,
-        registers=(reg,),
-        program=_RegularBitProgram(init=0),
-        budgets={"Write": 1, "Read": 1},
-        var_name="X",
-        domain=2,
-        init=0,
-        writers=frozenset({0}),
-        readers=readers,
-    )
+    return _single_register("regular_bit", "bit", n_readers, 2, 0, SemanticsLevel.SAFE,
+                            _RegularBitProgram(init=0))
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +242,26 @@ class _MultiReaderProgram(StepProgram):
     """Process 0 is the writer; processes 1..n are readers.
 
     Write(v): bump the local sequence number and push (tag, v) to the n
-    writer-to-reader registers in index order.
+    writer-to-reader registers, the writer's ``sinks``, in order.
 
-    Read by reader j: collect the writer register and the n-1 incoming
-    reader-to-reader registers, fold in the locally remembered last choice,
-    pick the maximum tag, announce it through the n-1 outgoing registers,
-    remember it, and return its payload.  The local memory keeps a reader's
-    reads monotone; the announcements keep readers consistent with each
-    other.
+    Read by reader j: collect its ``sources`` (the writer register, then the
+    n-1 incoming reader-to-reader registers), fold in the locally remembered
+    last choice, pick the maximum tag, announce it through its ``sinks``
+    (the n-1 outgoing registers), remember it, and return its payload.  The
+    local memory keeps a reader's reads monotone; the announcements keep
+    readers consistent with each other.
     """
 
-    def __init__(self, n: int, codec: TagCodec, init_enc: int, writeback: bool):
+    def __init__(self, n: int, codec: TagCodec, init_enc: int, writeback: bool,
+                 sources: list[list[int]], sinks: list[list[int]]):
         self.n = n
         self.codec = codec
         self.init_enc = init_enc
         self.writeback = writeback
-        # Incoming registers per reader, in collect order, and outgoing
-        # reader-to-reader registers, in announce order.
-        self.sources = {j: [self._w_reg(j)] + [self._c_reg(i, j) for i in range(1, n + 1) if i != j]
-                        for j in range(1, n + 1)}
-        self.sinks = {j: [self._c_reg(j, i) for i in range(1, n + 1) if i != j]
-                      for j in range(1, n + 1)}
-
-    def _w_reg(self, j: int) -> int:
-        return j - 1
-
-    def _c_reg(self, i: int, j: int) -> int:
-        # Outgoing block of reader i, positions ordered by destination j.
-        return self.n + (i - 1) * (self.n - 1) + (j - 1 if j < i else j - 2)
+        # Per process, the register indices it reads (collect order) and
+        # writes (write or announce order).
+        self.sources = sources
+        self.sinks = sinks
 
     def initial_memory(self, proc):
         if proc == 0:
@@ -250,7 +271,7 @@ class _MultiReaderProgram(StepProgram):
     def begin(self, proc, mem, kind, arg):
         if kind == "Write":
             enc = self.codec.encode(mem + 1, 0, arg)
-            return WriteAction(self._w_reg(1), enc), ("w", 1, enc, mem + 1)
+            return WriteAction(self.sinks[0][0], enc), ("w", 1, enc, mem + 1)
         return ReadAction(self.sources[proc][0]), ("collect", 1, mem)
 
     def resume(self, proc, mem, state, result):
@@ -258,7 +279,7 @@ class _MultiReaderProgram(StepProgram):
         if phase == "w":
             _, k, enc, seq = state
             if k < self.n:
-                return WriteAction(self._w_reg(k + 1), enc), ("w", k + 1, enc, seq)
+                return WriteAction(self.sinks[0][k], enc), ("w", k + 1, enc, seq)
             return ReturnAction(None, seq), None
         if phase == "collect":
             _, k, best = state
@@ -282,32 +303,30 @@ def build_multireader(n: int, domain: int = 8, writeback: bool = True) -> Protoc
     do not announce their choices; it is only regular, and exists to
     demonstrate that the reader-to-reader registers are necessary.
     """
-    if n < 1:
-        raise EngineError("need at least one reader")
+    _check_size(n, n * n, "reader")
     codec = TagCodec(n_pids=n + 1, payload_domain=domain)
     init_enc = codec.encode(0, 0, 0)
-    regs = [
-        BaseRegisterSpec(
-            name=f"w{j}", owner=0, readers=frozenset({j}),
-            domain=codec.domain, init=init_enc, semantics=SemanticsLevel.ATOMIC,
-        )
-        for j in range(1, n + 1)
-    ]
-    for i in range(1, n + 1):
+    # Register i -> j is owned by i and read by j alone: w{j} from the
+    # writer first, then each reader i's c{i}_{j}, by i and then by j.
+    # Listing each in i's sinks and j's sources as it is laid out gives
+    # every process its registers in the order its ops use them.
+    regs: list[BaseRegisterSpec] = []
+    sources: list[list[int]] = [[] for _ in range(n + 1)]
+    sinks: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(n + 1):
         for j in range(1, n + 1):
             if j != i:
-                regs.append(
-                    BaseRegisterSpec(
-                        name=f"c{i}_{j}", owner=i, readers=frozenset({j}),
-                        domain=codec.domain, init=init_enc,
-                        semantics=SemanticsLevel.ATOMIC,
-                    )
-                )
+                sinks[i].append(len(regs))
+                sources[j].append(len(regs))
+                regs.append(BaseRegisterSpec(
+                    name=f"c{i}_{j}" if i else f"w{j}", owner=i, readers=frozenset({j}),
+                    domain=codec.domain, init=init_enc, semantics=SemanticsLevel.ATOMIC,
+                ))
     return ProtocolSpec(
         name="multireader" if writeback else "multireader_nowriteback",
         n_processes=n + 1,
         registers=tuple(regs),
-        program=_MultiReaderProgram(n, codec, init_enc, writeback),
+        program=_MultiReaderProgram(n, codec, init_enc, writeback, sources, sinks),
         budgets={"Write": n, "Read": 2 * n - 1 if writeback else n},
         var_name="X",
         domain=domain,
@@ -351,7 +370,7 @@ class _MultiWriterProgram(StepProgram):
             if k < self.n:
                 return ReadAction(k), ("w", k + 1, max_seq, arg)
             enc = self.codec.encode(max_seq + 1, proc, arg)
-            return WriteAction(proc, enc), ("commit",)
+            return WriteAction(proc, enc), ("commit", max_seq + 1)
         if phase == "r":
             _, k, best = state
             best = result if best is None else _max_tagged(self.codec, best, result)
@@ -364,18 +383,8 @@ class _MultiWriterProgram(StepProgram):
 
 def build_multiwriter(n: int, domain: int = 8) -> ProtocolSpec:
     """Atomic n-writer n-reader register from n atomic 1WnR registers."""
-    if n < 1:
-        raise EngineError("need at least one process")
-    codec = TagCodec(n_pids=n, payload_domain=domain)
+    codec, regs = _tag_registers("r", n, domain)
     everyone = frozenset(range(n))
-    regs = tuple(
-        BaseRegisterSpec(
-            name=f"r{p}", owner=p, readers=everyone,
-            domain=codec.domain, init=codec.encode(0, p, 0),
-            semantics=SemanticsLevel.ATOMIC,
-        )
-        for p in range(n)
-    )
     return ProtocolSpec(
         name="multiwriter",
         n_processes=n,

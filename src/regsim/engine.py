@@ -200,9 +200,9 @@ class HLOp:
 
     ``record`` is the op's history record, built by the protocol's
     ``history.record`` when the op finishes.  It takes no part in equality
-    or repr.  A walk builds each distinct finish once, record included,
-    and every execution of the walk that has the op shares the one object
-    (:meth:`_Sim._finish_op`).
+    or repr.  An enumeration builds each distinct finish once, record
+    included, and every execution of the walk that has the op shares the
+    one object (:meth:`_Sim._finish_op`).
     """
 
     op_id: int
@@ -385,8 +385,9 @@ class _Sim:
         self.reg_writes = [([-1], [-2], [r.init]) for r in self.regs]
         self.events: list[Event] = []
         self.hlops: list[HLOp] = []
-        # Each distinct finish's HLOp, by its key (_finish_op).
-        self.finished: dict[tuple, HLOp] = {}
+        # Each distinct finish's HLOp, by its key (_finish_op): a table
+        # only a walk of many executions sets, as enumerate_executions does.
+        self.finished: dict[tuple, HLOp] | None = None
         self.decisions: list[Decision] = []
         self.procs = [_Proc(self.program.initial_memory(proc), _IDLE if ops else _DONE)
                       for proc, ops in enumerate(self.workload)]
@@ -549,19 +550,25 @@ class _Sim:
 
     def _finish_op(self, p: _Proc, proc: int, action: ReturnAction, step: int) -> None:
         """Append the op ``p`` finishes at ``step``, and set its phase:
-        ``_DONE`` after its last op, else ``_IDLE``.  Each distinct finish
-        is built once per walk and then shared: ``finished`` maps a finish's
-        key to its HLOp, record included.  The key holds everything the two
-        depend on (``proc`` and ``opidx`` fix the kind and arg), the return
-        by :func:`_ret_key`, so a hit is the object a miss would build."""
+        ``_DONE`` after its last op, else ``_IDLE``.  Where ``finished`` is
+        a table, each distinct finish is built once per walk and then
+        shared: it maps a finish's key to its HLOp, record included.  The
+        key holds everything the two depend on (``proc`` and ``opidx`` fix
+        the kind and arg), the return by :func:`_ret_key`, so a hit is the
+        object a miss would build.  A single run has no table: no two of its
+        finishes share a uid, so it builds each op directly."""
         uid, ret, start, opidx, acc = p.uid, action.value, p.first, p.opidx, p.acc
-        key = (uid, proc, opidx, start, step, acc, _ret_key(ret))
-        op = self.finished.get(key)
+        finished, op = self.finished, None
+        if finished is not None:
+            key = (uid, proc, opidx, start, step, acc, _ret_key(ret))
+            op = finished.get(key)
         if op is None:
             kind, arg = self.workload[proc][opidx]
             record = self.record(uid, proc, kind, arg, ret, start, step)
             # op_id, proc, kind, arg, ret, start, end, base_accesses, record
-            op = self.finished[key] = HLOp(uid, proc, kind, arg, ret, start, step, acc, record)
+            op = HLOp(uid, proc, kind, arg, ret, start, step, acc, record)
+            if finished is not None:
+                finished[key] = op
         self.hlops.append(op)
         p.mem = action.memory
         p.opidx += 1
@@ -649,6 +656,7 @@ def enumerate_executions(
     cut_executions = cut_steps = False
     collected: list[Execution] = []
     sim = _Sim(spec, workload)
+    sim.finished = {}  # executions of one walk share their ops
     apply, undo, choices_of = sim.apply, sim.undo, sim.choices
 
     # One [iterator over the node's remaining choices, undo token of the

@@ -18,21 +18,17 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .checkers import PASS, Verdict
-from .constructions import Tag, TagCodec, tag_less
+from .constructions import Tag, _MultiWriterProgram, _tag_registers, tag_less
 from .engine import (
-    BaseRegisterSpec,
     EngineError,
     Execution,
     HistoryKind,
     ProtocolSpec,
     ReadAction,
     ReturnAction,
-    StepProgram,
-    WriteAction,
 )
 from .history import (
     HistoryError,
-    SemanticsLevel,
     encode_json,
     not_int,
     read_trace,
@@ -86,47 +82,35 @@ def scan_order(entries: Iterable[LabeledObject]) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-class _CtsProgram(StepProgram):
+class _CtsProgram(_MultiWriterProgram):
     """One atomic register per process holding (label, payload).
 
-    Labeling(payload) by p: collect all n registers, pick the successor of
-    the largest sequence seen, publish ((s, p), payload), and return the
-    assigned tag.  Scan: collect all n registers and return the decoded
-    objects in ascending tag order.  Scans write nothing.
+    Labeling(payload) by p is the multiwriter Write of ``payload``: collect
+    all n registers, pick the successor of the largest sequence seen, and
+    publish ((s, p), payload); it returns the assigned tag.  Scan: collect
+    all n registers and return the decoded objects in ascending tag order.
+    Scans write nothing.
     """
-
-    def __init__(self, n: int, codec: TagCodec):
-        self.n = n
-        self.codec = codec
 
     def begin(self, proc, mem, kind, arg):
         if kind == LABELING:
-            return ReadAction(0), ("l", 1, 0, arg)
+            return super().begin(proc, mem, "Write", arg)
         return ReadAction(0), ("s", 1, ())
 
     def resume(self, proc, mem, state, result):
         phase = state[0]
-        if phase == "l":
-            _, k, max_seq, payload = state
-            seq = self.codec.seq(result)
-            if seq > max_seq:
-                max_seq = seq
-            if k < self.n:
-                return ReadAction(k), ("l", k + 1, max_seq, payload)
-            enc = self.codec.encode(max_seq + 1, proc, payload)
-            return WriteAction(proc, enc), ("commit", max_seq + 1)
-        if phase == "s":
-            _, k, seen = state
-            seen = seen + (result,)
-            if k < self.n:
-                return ReadAction(k), ("s", k + 1, seen)
-            tagged = [self.codec.decode(raw) for raw in seen]
-            wire = tuple((i, *tagged[i].tag, tagged[i].val)
-                         for i in sorted(range(self.n), key=lambda i: tagged[i].tag))
-            return ReturnAction(wire, mem), None
-        # commit
-        _, seq = state
-        return ReturnAction((seq, proc), mem), None
+        if phase == "commit":
+            return ReturnAction((state[1], proc), mem), None
+        if phase != "s":
+            return super().resume(proc, mem, state, result)
+        _, k, seen = state
+        seen = seen + (result,)
+        if k < self.n:
+            return ReadAction(k), ("s", k + 1, seen)
+        tagged = [self.codec.decode(raw) for raw in seen]
+        wire = tuple((i, *tagged[i].tag, tagged[i].val)
+                     for i in sorted(range(self.n), key=lambda i: tagged[i].tag))
+        return ReturnAction(wire, mem), None
 
 
 def build_cts(n: int, domain: int = 8) -> ProtocolSpec:
@@ -135,18 +119,8 @@ def build_cts(n: int, domain: int = 8) -> ProtocolSpec:
     Initial labels are (0, pid) with payload 0, legitimate Scan content
     before any Labeling.  Budgets: Labeling n+1, Scan n.
     """
-    if n < 1:
-        raise EngineError("need at least one process")
-    codec = TagCodec(n_pids=n, payload_domain=domain)
+    codec, regs = _tag_registers("obj", n, domain)
     everyone = frozenset(range(n))
-    regs = tuple(
-        BaseRegisterSpec(
-            name=f"obj{p}", owner=p, readers=everyone,
-            domain=codec.domain, init=codec.encode(0, p, 0),
-            semantics=SemanticsLevel.ATOMIC,
-        )
-        for p in range(n)
-    )
     return ProtocolSpec(
         name="cts",
         n_processes=n,
@@ -220,7 +194,8 @@ class CtsHistory:
                     raise HistoryError(f"op {op.op_id}: completed Labeling without label")
                 label = op.label
                 if not (type(label) is Tag and type(label.seq) is int and type(label.pid) is int):
-                    raise HistoryError(f"op {op.op_id}: label {label!r} is not 2 integers (seq, pid)")
+                    why = _not_a(label, "Tag", 2, "(seq, pid)")
+                    raise HistoryError(f"op {op.op_id}: label {label!r} {why}")
             elif op.result is None:
                 raise HistoryError(f"op {op.op_id}: completed Scan without result")
             elif not isinstance(op.result, tuple):
@@ -232,8 +207,8 @@ class CtsHistory:
                         if (type(tag) is Tag and type(entry.owner) is int and type(tag.seq) is int
                                 and type(tag.pid) is int and type(entry.payload) is int):
                             continue
-                    raise HistoryError(f"op {op.op_id}: Scan entry {entry!r} is not 4 integers "
-                                       "(owner, seq, pid, payload)")
+                    why = _not_a(entry, "LabeledObject", 4, "(owner, seq, pid, payload)")
+                    raise HistoryError(f"op {op.op_id}: Scan entry {entry!r} {why}")
 
     @classmethod
     def _from_records(cls, n: int, ops: Iterable[CtsOp]) -> "CtsHistory":
@@ -247,6 +222,15 @@ class CtsHistory:
 
 
 _set_n, _set_ops = CtsHistory.n.__set__, CtsHistory.ops.__set__
+
+
+def _not_a(value: object, name: str, n: int, fields: str) -> str:
+    """Why :meth:`CtsHistory._validate` refuses a label or Scan entry: a
+    tuple of ``n`` exact ints is of the wrong type, anything else holds the
+    wrong values."""
+    if isinstance(value, tuple) and len(value) == n and all(type(x) is int for x in value):
+        return f"is not a {name}"
+    return f"is not {n} integers {fields}"
 
 
 def check_cts(h: CtsHistory) -> Verdict:

@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -123,6 +126,37 @@ def test_builder_out_of_memory_exit_three(tmp_path, monkeypatch, capsys, command
     monkeypatch.setitem(scenario._BUILDERS, "multiwriter", exhausted)
     assert main([command, "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+#: The reproducing input of the out-of-memory defect, for each construction
+#: whose layout grows as n**2: n = 100000.
+HUGE_N_WORKLOADS = {
+    "multireader": [[{"kind": "W", "arg": 1}]],
+    "multiwriter": [[{"kind": "W", "arg": 1}]],
+    "cts": [[{"kind": "L", "arg": 1}]],
+}
+
+
+@pytest.mark.parametrize("gigabytes", [0.5, 1, 2, 3])
+@pytest.mark.parametrize("construction", HUGE_N_WORKLOADS)
+def test_a_size_beyond_the_layout_bound_exit_two_under_any_memory_limit(
+        tmp_path, construction, gigabytes):
+    # multireader n=100000 once began to lay out 10**10 base registers, and
+    # under a memory limit exited 3, or 1 with no error line.  It is refused
+    # before anything is allocated, so every limit gives the same one line.
+    cfg = write_config(tmp_path, construction=construction, n=100000,
+                       workload=HUGE_N_WORKLOADS[construction])
+    limit = int(gigabytes * 2**30)
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "regsim", "simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: cannot build {construction}: n 100000 needs 10000000000 "
+                          "(register, reader) pairs, more than the 65536 a layout may hold\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "enumerate"])

@@ -3,15 +3,16 @@
 ``enumerate_executions`` keeps one ``_Sim`` for the whole walk, which
 builds an op's ``HLOp`` and record on the first finish of its kind and
 hands out that object on every later one.  ``run_schedule`` replays on a
-fresh ``_Sim`` and so always builds: it is the slow path these tests
-compare against, leaf by leaf.
+fresh ``_Sim`` with no table and so always builds: it is the slow path
+these tests compare against, leaf by leaf.
 """
 
 from pathlib import Path
 
 import pytest
 
-from regsim import HistoryError, ProtocolSpec, SemanticsLevel, enumerate_executions, run_schedule
+from regsim import (HistoryError, ProtocolSpec, SemanticsLevel, engine, enumerate_executions,
+                    random_execution, run_schedule)
 from regsim.cli import main
 from regsim.engine import BaseRegisterSpec, ReadAction, ReturnAction, StepProgram, WriteAction
 from regsim.scenario import build_protocol, load_scenario, scenario_from_dict
@@ -74,6 +75,20 @@ def test_walk_builds_what_a_replay_builds_and_shares_each_finish(name):
     assert len(objects) == len(finishes)
     if distinct is not None:
         assert len(finishes) == distinct
+
+
+@pytest.mark.parametrize("name", ["multiwriter", "mr_nowriteback", "cts"])
+def test_a_single_run_keys_no_finish(name, monkeypatch):
+    # No two finishes of one run share a uid, so a table could never hit:
+    # random_execution and run_schedule build each op directly.
+    def keyed(ret):
+        raise AssertionError("a single run keyed a finish")
+
+    monkeypatch.setattr(engine, "_ret_key", keyed)
+    sc, _ = WORKLOADS[name]
+    spec = build_protocol(sc)
+    e = random_execution(spec, sc.workload, 0)
+    assert run_schedule(spec, sc.workload, e.decisions) == e
 
 
 class OneOrTrueProgram(StepProgram):

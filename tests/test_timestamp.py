@@ -334,10 +334,10 @@ def test_well_formed_cts_returns_of_any_tuple_type_are_recorded():
     (CtsOp(0, 0, SCAN, 0, 1, result=(LabeledObject(0, Tag(1, 0), 0),)),
      "op 0: Scan entry LabeledObject(owner=0, label=Tag(seq=1, pid=0), payload=0)" + NOT_AN_ENTRY),
     (CtsOp(0, 0, SCAN, 0, 1, result=((0, 1, 0, 0), (1, 2, 1, 0))),
-     "op 0: Scan entry (0, 1, 0, 0)" + NOT_AN_ENTRY),
+     "op 0: Scan entry (0, 1, 0, 0) is not a LabeledObject"),
     (CtsOp(0, 0, SCAN, 0, 1, result=(obj(0, 1, 0), (1, 2, 1, 0))),
-     "op 0: Scan entry (1, 2, 1, 0)" + NOT_AN_ENTRY),
-    (CtsOp(0, 0, LABELING, 0, 1, 1, (1, 0)), "op 0: label (1, 0)" + NOT_A_LABEL),
+     "op 0: Scan entry (1, 2, 1, 0) is not a LabeledObject"),
+    (CtsOp(0, 0, LABELING, 0, 1, 1, (1, 0)), "op 0: label (1, 0) is not a Tag"),
 ], ids=["label", "entry_seq", "entry_payload", "result_list", "entry_label_not_a_label",
         "entry_tuple", "entry_tuple_after_an_object", "label_tuple"])
 def test_cts_history_refuses_an_outcome_no_trace_can_carry(op, message):
@@ -346,7 +346,8 @@ def test_cts_history_refuses_an_outcome_no_trace_can_carry(op, message):
     # AttributeError on an entry whose label is not a Label.  A plain tuple
     # as a Scan entry or a label was held, and check_cts or
     # serialize_cts_trace then ended in an AttributeError ('tuple' object
-    # has no attribute 'owner' / 'seq').
+    # has no attribute 'owner' / 'seq').  A tuple of the right ints is
+    # refused for its type, and once was told it is not that many ints.
     with pytest.raises(HistoryError) as raised:
         CtsHistory(n=1, ops=(op,))
     assert str(raised.value) == message
