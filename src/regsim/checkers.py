@@ -21,6 +21,7 @@ from .history import (
     OpKind,
     OpRecord,
     SemanticsLevel,
+    read_allows,
     read_values,
     slot_init,
     write_index,
@@ -76,16 +77,23 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
 
     Safe and Regular are per-Read conditions on single-writer variables:
     each variable's Writes are indexed once, and each Read bisects them for
-    its latest preceding and its overlapping Writes, O(n log n) in all.
-    Atomic searches, per variable, for a total order of the operations that
-    extends precedence and in which every Read returns the argument of the
-    latest preceding Write (or the initial value); the search extends
+    its latest preceding and its overlapping Writes
+    (:func:`~regsim.history.read_allows`, which tests the return without
+    listing the values it may take), O(n log n) in all.  Atomic searches,
+    per variable, for a total order of the operations that extends
+    precedence and in which every Read returns the argument of the latest
+    preceding Write (or the initial value).  It first walks the completed
+    ops in end order, the search's own first descent, and returns that
+    order if every Read in it returns the current value, with no search
+    state built (a third to a half of the leaves of the benchmark's
+    multiwriter and multireader trees end there).  Otherwise the search
+    resumes from the prefix before the first Read that blocks: it extends
     partial sequences only while the read-value constraints remain
-    satisfiable.  It remembers failed (placed set, current value) states
-    and runs on an explicit stack: at worst about 2^n * n states for n ops
-    on a variable rather than n! orders, and no depth limit.  Each node
-    scans only as far as the last op that starts before the lowest unplaced
-    op ends, so where few ops overlap a search that never backtracks costs
+    satisfiable, remembers failed (placed set, current value) states and
+    runs on an explicit stack, at worst about 2^n * n states for n ops on a
+    variable rather than n! orders, and no depth limit.  Each node scans
+    only as far as the last op that starts before the lowest unplaced op
+    ends, so where few ops overlap a search that never backtracks costs
     O(n log n).
     """
     if level is SemanticsLevel.ATOMIC:
@@ -96,8 +104,9 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     for r in h.ops:  # already sorted by start
         if r.kind is not OpKind.READ or r.end is None:
             continue
-        allowed = read_values(vars[r.var], writes.get(r.var), r.start, r.end, level)
-        if r.ret not in allowed:
+        log = writes.get(r.var)
+        if not read_allows(vars[r.var], log, r.start, r.end, level, r.ret):
+            allowed = read_values(vars[r.var], log, r.start, r.end, level)
             return Verdict(
                 ok=False,
                 violating_op=r.op_id,
@@ -110,21 +119,32 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
 
 
 def _check_atomic(h: History) -> Verdict:
+    vars = h.vars
+    if len(vars) == 1 and h.ops:  # every op is on the one variable
+        (var,) = vars
+        found, witness = _linearize_var(h, var)
+        if found is None:
+            return _unplaceable(var, witness)
+        return Verdict(True, None, None, {var: found})
     lins: dict[str, tuple[int, ...]] = {}
     for var in sorted({op.var for op in h.ops}):
         found, witness = _linearize_var(h, var)
         if found is None:
-            assert witness is not None
-            return Verdict(
-                ok=False,
-                violating_op=witness.op_id,
-                reason=(
-                    f"no linearization of {var!r}: Read {witness.op_id} "
-                    f"(ret {witness.ret}) cannot be placed consistently"
-                ),
-            )
+            return _unplaceable(var, witness)
         lins[var] = found
     return Verdict(ok=True, linearizations=lins)
+
+
+def _unplaceable(var: str, witness: OpRecord | None) -> Verdict:
+    assert witness is not None
+    return Verdict(
+        ok=False,
+        violating_op=witness.op_id,
+        reason=(
+            f"no linearization of {var!r}: Read {witness.op_id} "
+            f"(ret {witness.ret}) cannot be placed consistently"
+        ),
+    )
 
 
 def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpRecord | None]:
@@ -135,6 +155,17 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     are ignored.  Candidates are tried in (end, start, op_id) order, which
     makes the returned witness deterministic.  Returns (sequence, None) on
     success, (None, blocking_read) on failure.
+
+    The search's first descent places the completed ops in end order: at
+    each node the lowest unplaced op ``low`` is a candidate, since every op
+    that ends before it starts ends before it ends and so is placed, and
+    it is tried first; nothing has failed yet, so the descent takes it
+    unless it is a Read that does not return the current value.  That
+    descent is walked first, with only the current value: if no Read
+    blocks it, its order is the witness the search would return.  If a
+    Read at index k blocks, the search starts from that prefix, with one
+    frame per op below k as the descent would have pushed them, and goes
+    on exactly as it would have from there.
 
     The search is depth-first over an explicit stack and remembers every
     failed (placed set, current value) state, so it visits at most about
@@ -148,21 +179,46 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     spec = h.vars[var]
     read = OpKind.READ
     # One pass over the start-sorted ops: completed ops, and pending Writes
-    # (already in start order, which is their candidate order).
+    # (already in start order, which is their candidate order).  With one
+    # variable every op is on it.
     ops: list[OpRecord] = []
     pending: list[OpRecord] = []
-    for o in h.ops:
-        if o.var == var:
-            if o.end is not None:
-                ops.append(o)
-            elif o.kind is not read:
-                pending.append(o)
+    for o in h.ops if len(h.vars) == 1 else [o for o in h.ops if o.var == var]:
+        if o.end is not None:
+            ops.append(o)
+        elif o.kind is not read:
+            pending.append(o)
     need = len(ops)
     if need == 0:
         return (), None
     # Ends are distinct steps, so sorting by end alone is the (end, start,
     # op_id) order; completed ops come first: they are exactly ops[:need].
     ops.sort(key=_end)
+
+    # The first descent: the end order, while every Read returns the
+    # current value.
+    value = spec.init
+    for o in ops:
+        if o.kind is read:
+            if o.ret != value:
+                blocker = o
+                break
+        else:
+            value = o.arg
+    else:
+        return tuple([o.op_id for o in ops]), None
+    # One (placed mask, value, next candidate) frame per placed op: the
+    # descent's, up to the blocking Read at index k.
+    stack: list[tuple[int, int, int]] = []
+    value = spec.init
+    for k, o in enumerate(ops):
+        if o is blocker:
+            break
+        stack.append(((1 << k) - 1, value, k + 1))
+        if o.kind is not read:
+            value = o.arg
+    mask, i = (1 << k) - 1, 0
+
     ends = [o.end for o in ops]
     ops += pending
     # Per op: pre, is-Read, value.  ops[:pre] are the ops that end before
@@ -171,21 +227,18 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     # placed, no op from reach[l] on may come next.
     cands = []
     reach = [0] * (need + 1)
-    for i, o in enumerate(ops, 1):
+    for j, o in enumerate(ops, 1):
         pre = bisect_left(ends, o.start)
-        reach[pre] = i
+        reach[pre] = j
         cands.append((pre, True, o.ret) if o.kind is read else (pre, False, o.arg))
     top = 0
-    for k, r in enumerate(reach):  # running maximum, in place
+    for j, r in enumerate(reach):  # running maximum, in place
         if r > top:
             top = r
         else:
-            reach[k] = top
+            reach[j] = top
 
     failed: set[tuple[int, int]] = set()
-    # One (placed mask, value, next candidate) frame per placed op.
-    stack: list[tuple[int, int, int]] = []
-    mask, value, i = 0, spec.init, 0
     # Deepest prefix the search reached, and the reads rejected there:
     # the earliest of those is the reported inconsistency witness.
     best_depth = -1

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum, IntEnum
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class HistoryError(ValueError):
@@ -327,6 +327,35 @@ def write_index(h: History) -> dict[str, tuple[list, list[int], list[int]]]:
     return index
 
 
+def read_window(
+    spec: VarSpec,
+    writes: tuple[list, list[int], list[int]] | None,
+    start: int,
+    end: int,
+) -> tuple[int, Sequence[int]]:
+    """The safe/regular rule for one Read, before a level is applied: the
+    value of the latest Write that ends before a completed Read from
+    ``start`` to ``end`` starts (``spec.init`` if none does), and the args
+    of the Writes that overlap it, on a single-writer variable given its
+    :func:`write_index` log (None if it has no Writes) and its ``spec``
+    (anything with a ``domain`` and an ``init``).  Two bisections,
+    O(log n).  It is the one definition of both levels: :func:`read_values`
+    lists the values it allows and :func:`read_allows` tests one, and the
+    checker (``check_level``, :func:`feasible_values`) and the engine's
+    adversary read those two alone.
+
+    The Writes that end before the Read starts are a prefix; the latest of
+    them is its last.  The Writes that start before the Read ends are a
+    prefix at least as long; the ones between the two prefixes overlap it.
+    """
+    if writes is None:
+        return spec.init, ()
+    ends, starts, args = writes
+    k = bisect_left(ends, start)
+    j = bisect_left(starts, end, k)
+    return (args[k - 1] if k else spec.init), args[k:j]
+
+
 def read_values(
     spec: VarSpec,
     writes: tuple[list, list[int], list[int]] | None,
@@ -334,15 +363,8 @@ def read_values(
     end: int,
     level: SemanticsLevel,
 ) -> tuple[int, ...] | range:
-    """The safe/regular rule for one Read: the values a completed Read from
-    ``start`` to ``end`` may return at ``level`` on a single-writer
-    variable, given that variable's :func:`write_index` log (None if it has
-    no Writes) and its ``spec`` (anything with a ``domain`` and an
-    ``init``).  It is the one definition of both levels: the checker judges
-    each Read by it (:func:`feasible_values`, ``check_level``), and the
-    engine's adversary offers exactly its values, in this order, to a safe
-    or regular base Read.  Two bisections, O(log n).  The values come in
-    value order, each once, in one of three forms:
+    """The values :func:`read_window` allows a completed Read at ``level``,
+    in value order, each once, in one of three forms:
 
     - ``(value,)`` where no Write overlaps the Read;
     - ``range(spec.domain)`` where Safe admits the whole domain, which
@@ -350,21 +372,35 @@ def read_values(
     - otherwise (Regular) a tuple of the latest preceding value and every
       overlapping Write's arg.
 
-    The Writes that end before the Read starts are a prefix; the latest of
-    them is its last.  The Writes that start before the Read ends are a
-    prefix at least as long; the ones between the two prefixes overlap it.
+    The engine's adversary offers exactly these values, in this order, to
+    a safe or regular base Read.
     """
-    if writes is None:
-        return (spec.init,)
-    ends, starts, args = writes
-    k = bisect_left(ends, start)
-    latest = args[k - 1] if k else spec.init
-    j = bisect_left(starts, end, k)
-    if j == k:
+    latest, overlapping = read_window(spec, writes, start, end)
+    if not overlapping:
         return (latest,)
     if level is SemanticsLevel.SAFE:
         return range(spec.domain)
-    return tuple(sorted({latest, *args[k:j]}))
+    return tuple(sorted({latest, *overlapping}))
+
+
+def read_allows(
+    spec: VarSpec,
+    writes: tuple[list, list[int], list[int]] | None,
+    start: int,
+    end: int,
+    level: SemanticsLevel,
+    value: int,
+) -> bool:
+    """``value in read_values(spec, writes, start, end, level)``, without
+    building the values: the checker's test of one Read's return."""
+    latest, overlapping = read_window(spec, writes, start, end)
+    if value == latest:
+        return True
+    if not overlapping:
+        return False
+    if level is SemanticsLevel.SAFE:
+        return 0 <= value < spec.domain
+    return value in overlapping
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,13 @@ from regsim import (
     build_cts,
     build_multireader,
     build_multiwriter,
+    enumerate_executions,
     extract_cts_history,
     extract_history,
     random_execution,
 )
-from regsim.engine import _Sim
+from regsim.engine import SCOPE_HIGH, _Sim
+from regsim.scenario import build_protocol
 from regsim.timestamp import LABELING, SCAN
 
 
@@ -297,6 +299,17 @@ def engine_history(construction: str, seed: int, cut: bool = False) -> History:
                                 OpKind.WRITE if kind == "Write" else OpKind.READ, step,
                                 arg=arg))
     return History(vars=h.vars, ops=h.ops + tuple(pending))
+
+
+def tree_histories(scenario, scope: str = SCOPE_HIGH) -> list[History]:
+    """The distinct histories at the leaves of a scenario's decision tree,
+    projected at ``scope``, in the order the walk first reaches them."""
+    spec = build_protocol(scenario)
+    leaves: dict[tuple, History] = {}
+    for e in enumerate_executions(spec, scenario.workload, scenario.limits).executions:
+        h = extract_history(e, scope)
+        leaves.setdefault(h.ops, h)
+    return list(leaves.values())
 
 
 @st.composite

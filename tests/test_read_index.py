@@ -4,7 +4,9 @@
 ``check_level`` as they were when every Read rescanned the whole history.
 Indexing each variable's Writes once per check must change nothing: on
 every history both give the same feasible value sets, the same errors and
-the same Verdicts, field for field.
+the same Verdicts, field for field.  The checker tests a Read's return with
+``read_allows``, which builds no value set: its answer must be membership
+in ``read_values``, the sets the engine's adversary offers.
 """
 
 import dataclasses
@@ -24,9 +26,12 @@ from regsim import (
     feasible_values,
     random_execution,
 )
+from regsim.engine import SCOPE_BASE
+from regsim.history import read_allows, read_values, write_index
 
 import read_scan
-from histgen import engine_history, histories
+from histgen import engine_history, histories, tree_histories
+from test_shared_ops import WORKLOADS
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=300)
 LEVELS = (SemanticsLevel.SAFE, SemanticsLevel.REGULAR, SemanticsLevel.ATOMIC)
@@ -101,3 +106,34 @@ def test_six_thousand_op_history_checks_in_seconds():
     for level in (SemanticsLevel.ATOMIC, SemanticsLevel.REGULAR, SemanticsLevel.SAFE):
         assert check_level(h, level).ok
     assert time.perf_counter() - t < 5
+
+
+def assert_membership_alike(h: History) -> int:
+    """For every completed Read of ``h`` and every value of its domain, at
+    safe and at regular, ``read_allows`` answers ``value in read_values``.
+    Returns the number of Reads."""
+    writes, reads = write_index(h), 0
+    for r in h.ops:
+        if r.kind is OpKind.READ and r.end is not None:
+            reads += 1
+            spec, log = h.vars[r.var], writes.get(r.var)
+            for level in (SemanticsLevel.SAFE, SemanticsLevel.REGULAR):
+                values = read_values(spec, log, r.start, r.end, level)
+                for value in range(spec.domain):
+                    assert read_allows(spec, log, r.start, r.end, level, value) == (
+                        value in values)
+    return reads
+
+
+@PINNED
+@given(histories(single_writer=True))
+def test_read_allows_is_membership_in_read_values(h):
+    assert_membership_alike(h)
+
+
+@pytest.mark.parametrize("scope", ["high", SCOPE_BASE])
+@pytest.mark.parametrize("name", ["regular_bit", "raw_safe"])
+def test_read_allows_is_membership_on_every_bench_leaf(name, scope):
+    hs = tree_histories(WORKLOADS[name][0], scope)
+    assert len(hs) == {"regular_bit": 16258, "raw_safe": 8330}[name]
+    assert sum(assert_membership_alike(h) for h in hs) > 0
