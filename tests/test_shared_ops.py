@@ -42,10 +42,10 @@ def tree_key(sc):
     return (sc.construction, sc.n, sc.workload, sc.domain, sc.base_semantics)
 
 
-#: name: (scenario, distinct finishes of its whole tree, or None), one
-#: entry per tree: the benchmark's trees, which pin their counts, then each
-#: shipped scenario whose tree is not among them (its count is only checked
-#: against its executions).
+#: name: (scenario, distinct finishes of its whole tree, or None): the
+#: benchmark's trees, which pin their counts, then every shipped scenario.
+#: A shipped scenario that walks a benchmark tree is held to that tree's
+#: count; any other is only checked against its executions.
 WORKLOADS = {
     "multiwriter": (bench_tree("multiwriter", 2, [[("W", 1)], [("W", 2), ("R", None)]]), 129),
     "mr_nowriteback": (bench_tree("multireader_nowriteback", 2,
@@ -57,11 +57,11 @@ WORKLOADS = {
                                                 [("R", None), ("R", None)]],
                             domain=8, base_semantics="safe"), 437),
 }
+BENCH_COUNTS = {tree_key(sc): distinct for sc, distinct in WORKLOADS.values()}
 
 for _path in sorted(SCENARIOS.glob("*.json")):
     _sc = load_scenario(str(_path))
-    if all(tree_key(_sc) != tree_key(other) for other, _ in WORKLOADS.values()):
-        WORKLOADS[_path.stem] = (_sc, None)
+    WORKLOADS[_path.stem] = (_sc, BENCH_COUNTS.get(tree_key(_sc)))
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
