@@ -21,8 +21,8 @@ from .history import (
     OpKind,
     OpRecord,
     SemanticsLevel,
-    read_allows,
     read_values,
+    read_window,
     slot_init,
     write_index,
 )
@@ -76,10 +76,12 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     """Does the history conform to the given semantics level?
 
     Safe and Regular are per-Read conditions on single-writer variables:
-    each variable's Writes are indexed once, and each Read bisects them for
-    its latest preceding and its overlapping Writes
-    (:func:`~regsim.history.read_allows`, which tests the return without
-    listing the values it may take), O(n log n) in all.  Atomic searches,
+    each variable's Writes are indexed once, and each Read makes one
+    :func:`~regsim.history.read_window` call, two bisections that give its
+    latest preceding value and the others its level allows, and tests its
+    return against that pair without listing, sorting or holding a value
+    set, O(n log n) in all; only a failing Read's message lists the values
+    (:func:`~regsim.history.read_values`).  Atomic searches,
     per variable, for a total order of the operations that extends
     precedence and in which every Read returns the argument of the latest
     preceding Write (or the initial value).  It first walks the completed
@@ -101,12 +103,13 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     _require_single_writer(h, level)
     vars = h.vars
     writes = write_index(h)
+    window, R = read_window, OpKind.READ  # local names for the loop over every op
     for r in h.ops:  # already sorted by start
-        if r.kind is not OpKind.READ or r.end is None:
+        if r.kind is not R or r.end is None:
             continue
-        log = writes.get(r.var)
-        if not read_allows(vars[r.var], log, r.start, r.end, level, r.ret):
-            allowed = read_values(vars[r.var], log, r.start, r.end, level)
+        latest, others = window(vars[r.var], writes[r.var], r.start, r.end, level)
+        if r.ret != latest and r.ret not in others:
+            allowed = read_values(vars[r.var], writes[r.var], r.start, r.end, level)
             return Verdict(
                 ok=False,
                 violating_op=r.op_id,

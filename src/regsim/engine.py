@@ -30,8 +30,8 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from .checkers import Verdict, check_level
-from .history import (History, HistoryError, OpKind, OpRecord, SemanticsLevel, VarSpec,
-                      parse_trace, read_values, serialize_trace, slot_init)
+from .history import (PENDING_END, History, HistoryError, OpKind, OpRecord, SemanticsLevel,
+                      VarSpec, parse_trace, read_values, serialize_trace, slot_init, write_log)
 
 
 class EngineError(RuntimeError):
@@ -299,10 +299,6 @@ class _Choices(Sequence):
 # The two between ops come first: ``phase <= _DONE`` tests for either.
 _IDLE, _DONE, _PENDING_INVOKE, _MID, _AWAIT, _ENDING = range(6)
 
-#: A pending Write's end in the engine's Write logs: always this one
-#: object, so that a test for a pending Write is an identity test.
-_INF = float("inf")
-
 
 def _ret_key(ret: object) -> object:
     """A hashable key of an op's return, equal for two returns only when
@@ -377,12 +373,11 @@ class _Sim:
         self.regs = spec.registers
         self.step = 0
         self.next_uid = 0
-        # Per register, its Writes as history.write_index logs a variable's:
-        # (ends, starts, args) in start order, a pending Write's end
-        # infinite.  The first is its initial value, as a Write that ended
-        # at step -1; its one writer is sequential, so only the last may be
-        # pending.
-        self.reg_writes = [([-1], [-2], [r.init]) for r in self.regs]
+        # Per register, its Write log as history.write_index gives a
+        # variable's: (ends, starts, args) in start order, seeded with its
+        # initial value, a pending Write's end history.PENDING_END.  Its one
+        # writer is sequential, so only the last may be pending.
+        self.reg_writes = [write_log(r.init) for r in self.regs]
         self.events: list[Event] = []
         self.hlops: list[HLOp] = []
         # Each distinct finish's HLOp, by its key (_finish_op): a table
@@ -400,8 +395,9 @@ class _Sim:
     def feasible(self, proc: int) -> Sequence[int]:
         """Adversary choices for the safe/regular base Read ``proc`` is about
         to complete at this step, in value order: exactly the values
-        :func:`~regsim.history.read_values`, the one rule by which the
-        checker judges a Read, gives over the register's Write log."""
+        :func:`~regsim.history.read_values` lists over the register's Write
+        log, the ones :func:`~regsim.history.read_window`, the one rule by
+        which the checker judges a Read, allows at the register's level."""
         p = self.procs[proc]
         reg_idx = p.action.reg
         reg = self.regs[reg_idx]
@@ -496,7 +492,7 @@ class _Sim:
                     # atomic Read returns the latest ended Write's value: the
                     # log's last, or the one before it while the last is
                     # pending.
-                    result = writes[2][-1] if writes[0][-1] is not _INF else writes[2][-2]
+                    result = writes[2][-1] if writes[0][-1] is not PENDING_END else writes[2][-2]
                 self.events.append((step, proc, "br", reg_idx, "R", result, p.uid))
             nxt, state = self.program.resume(proc, p.mem, p.state, result)
             if type(nxt) is ReturnAction:
@@ -536,7 +532,7 @@ class _Sim:
         if type(action) is WriteAction:
             self.events.append((step, proc, "bi", reg_idx, "W", action.value, p.uid))
             log = self.reg_writes[reg_idx]
-            log[0].append(_INF)
+            log[0].append(PENDING_END)
             log[1].append(step)
             log[2].append(action.value)
             p.phase = _MID
@@ -585,11 +581,11 @@ class _Sim:
         if p.phase <= _DONE:  # the event finished an op: _IDLE or _DONE
             self.hlops.pop()
         if log is not None:
-            if log[0][-1] is _INF:  # the event invoked this Write
+            if log[0][-1] is PENDING_END:  # the event invoked this Write
                 for writes in log:
                     writes.pop()
             else:  # it ended it
-                log[0][-1] = _INF
+                log[0][-1] = PENDING_END
         p.mem, p.state, p.phase, p.action, p.opidx, p.first, p.acc, p.uid, p.binv = snap
         if p.phase == _IDLE:  # the event began an op
             self.next_uid -= 1

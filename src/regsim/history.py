@@ -301,68 +301,76 @@ def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
     spec = h.vars[r.var]
     if len(spec.writers) > 1:
         raise HistoryError(f"var {r.var!r}: classification undefined, use Atomic")
-    return set(read_values(spec, write_index(h).get(r.var), r.start, r.end, level))
+    return set(read_values(spec, write_index(h)[r.var], r.start, r.end, level))
 
 
-def write_index(h: History) -> dict[str, tuple[list, list[int], list[int]]]:
-    """Per variable, its Writes' ends (a pending Write's is infinite),
-    starts and args, in start order: one pass over the history.
+#: A pending Write's end in every Write log: always this one object, so
+#: that a test for a pending Write is an identity test.
+PENDING_END = float("inf")
 
-    This is the one Write-log format.  The engine keeps each base
-    register's Writes in it as they happen, its initial value as a Write
-    that ended at step -1, and :func:`read_values` reads it for both.  A
-    single writer's Writes are totally ordered, so on a single-writer
+#: A variable's Writes as ``(ends, starts, args)`` lists in start order.
+WriteLog = tuple[list, list[int], list[int]]
+
+
+def write_log(init: int) -> WriteLog:
+    """A variable's Write log before its first Write: its initial value as a
+    Write that started at step -2 and ended at step -1, before every op."""
+    return [-1], [-2], [init]
+
+
+def write_index(h: History) -> dict[str, WriteLog]:
+    """Per declared variable, its Write log: ``(ends, starts, args)`` lists
+    in start order, the first entry its :func:`write_log` seed, then each of
+    its Writes (a pending Write's end :data:`PENDING_END`), in one pass over
+    the history.
+
+    This is the one Write-log format: the engine keeps each base register's
+    Writes in it as they happen, and :func:`read_window` reads it for both.
+    A single writer's Writes are totally ordered, so on a single-writer
     variable the ends come out sorted as well as the starts.
     """
-    inf = float("inf")
-    index: dict[str, tuple[list, list[int], list[int]]] = {}
+    index = {name: write_log(spec.init) for name, spec in h.vars.items()}
+    W = OpKind.WRITE  # a local name for the test on every op
     for w in h.ops:
-        if w.kind is OpKind.WRITE:
-            lists = index.get(w.var)
-            if lists is None:
-                lists = index[w.var] = ([], [], [])
-            lists[0].append(w.end if w.end is not None else inf)
-            lists[1].append(w.start)
-            lists[2].append(w.arg)
+        if w.kind is W:
+            ends, starts, args = index[w.var]
+            ends.append(PENDING_END if w.end is None else w.end)
+            starts.append(w.start)
+            args.append(w.arg)
     return index
 
 
-def read_window(
-    spec: VarSpec,
-    writes: tuple[list, list[int], list[int]] | None,
-    start: int,
-    end: int,
-) -> tuple[int, Sequence[int]]:
-    """The safe/regular rule for one Read, before a level is applied: the
-    value of the latest Write that ends before a completed Read from
-    ``start`` to ``end`` starts (``spec.init`` if none does), and the args
-    of the Writes that overlap it, on a single-writer variable given its
-    :func:`write_index` log (None if it has no Writes) and its ``spec``
-    (anything with a ``domain`` and an ``init``).  Two bisections,
-    O(log n).  It is the one definition of both levels: :func:`read_values`
-    lists the values it allows and :func:`read_allows` tests one, and the
-    checker (``check_level``, :func:`feasible_values`) and the engine's
-    adversary read those two alone.
+def read_window(spec: VarSpec, log: WriteLog, start: int, end: int,
+                level: SemanticsLevel) -> tuple[int, Sequence[int]]:
+    """The safe/regular rule for one completed Read from ``start`` to
+    ``end``, on a single-writer variable given its :func:`write_index` log
+    and its ``spec`` (anything with a ``domain``): ``(latest, others)``,
+    where the Read may return ``v`` iff ``v == latest or v in others``.
+    ``latest`` is the value of the latest Write that ends before the Read
+    starts (the log's seed, the initial value, if no other does).
+    ``others`` is ``()`` where no Write overlaps the Read, ``range(domain)``
+    at Safe where one does, and otherwise the overlapping Writes' args.
+    Two bisections, O(log n).  It is the one definition of both levels,
+    and the one place a level is applied: the checker (``check_level``)
+    calls it once per Read, and :func:`read_values` lists what it allows.
 
-    The Writes that end before the Read starts are a prefix; the latest of
-    them is its last.  The Writes that start before the Read ends are a
-    prefix at least as long; the ones between the two prefixes overlap it.
+    The Writes that end before the Read starts are a prefix, never empty
+    since the seed ends at step -1; the latest of them is its last.  The
+    Writes that start before the Read ends are a prefix at least as long;
+    the ones between the two prefixes overlap it.
     """
-    if writes is None:
-        return spec.init, ()
-    ends, starts, args = writes
+    ends, starts, args = log
     k = bisect_left(ends, start)
     j = bisect_left(starts, end, k)
-    return (args[k - 1] if k else spec.init), args[k:j]
+    if k == j:
+        return args[k - 1], ()
+    if level is SemanticsLevel.SAFE:
+        return args[k - 1], range(spec.domain)
+    return args[k - 1], args[k:j]
 
 
-def read_values(
-    spec: VarSpec,
-    writes: tuple[list, list[int], list[int]] | None,
-    start: int,
-    end: int,
-    level: SemanticsLevel,
-) -> tuple[int, ...] | range:
+def read_values(spec: VarSpec, log: WriteLog, start: int, end: int,
+                level: SemanticsLevel) -> tuple[int, ...] | range:
     """The values :func:`read_window` allows a completed Read at ``level``,
     in value order, each once, in one of three forms:
 
@@ -373,34 +381,14 @@ def read_values(
       overlapping Write's arg.
 
     The engine's adversary offers exactly these values, in this order, to
-    a safe or regular base Read.
+    a safe or regular base Read, and a failing check lists them.
     """
-    latest, overlapping = read_window(spec, writes, start, end)
-    if not overlapping:
+    latest, others = read_window(spec, log, start, end, level)
+    if not others:
         return (latest,)
-    if level is SemanticsLevel.SAFE:
-        return range(spec.domain)
-    return tuple(sorted({latest, *overlapping}))
-
-
-def read_allows(
-    spec: VarSpec,
-    writes: tuple[list, list[int], list[int]] | None,
-    start: int,
-    end: int,
-    level: SemanticsLevel,
-    value: int,
-) -> bool:
-    """``value in read_values(spec, writes, start, end, level)``, without
-    building the values: the checker's test of one Read's return."""
-    latest, overlapping = read_window(spec, writes, start, end)
-    if value == latest:
-        return True
-    if not overlapping:
-        return False
-    if level is SemanticsLevel.SAFE:
-        return 0 <= value < spec.domain
-    return value in overlapping
+    if type(others) is range:
+        return others
+    return tuple(sorted({latest, *others}))
 
 
 # ---------------------------------------------------------------------------

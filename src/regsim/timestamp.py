@@ -28,6 +28,7 @@ from .engine import (
     ReturnAction,
 )
 from .history import (
+    PENDING_END,
     HistoryError,
     encode_json,
     not_int,
@@ -40,8 +41,6 @@ from .history import (
 
 LABELING = "Labeling"
 SCAN = "Scan"
-
-_INF = float("inf")
 
 
 @slot_init
@@ -255,7 +254,7 @@ def check_cts(h: CtsHistory) -> Verdict:
         if op.kind == LABELING:
             ops, ends = index.setdefault(op.proc, ([], []))
             ops.append(op)
-            ends.append(_INF if op.end is None else op.end)
+            ends.append(PENDING_END if op.end is None else op.end)
     # (a) per-process label monotonicity
     for proc, (ops, _) in index.items():
         for a, b in zip(ops, ops[1:]):

@@ -4,10 +4,14 @@
 ``check_level`` as they were when every Read rescanned the whole history.
 Indexing each variable's Writes once per check must change nothing: on
 every history both give the same feasible value sets, the same errors and
-the same Verdicts, field for field.  The checker tests a Read's return with
-``read_allows``, which builds no value set: its answer must be membership
-in ``read_values``, the sets the engine's adversary offers.
+the same Verdicts, field for field.  The checker tests a Read's return
+against ``read_window``'s pair, ``v == latest or v in others``, which builds
+no value set: its answer must be membership in ``read_values``, the sets
+the engine's adversary offers.  Every Write log has one format, seeded with
+the initial value: the engine's per register equals ``write_index`` of the
+base-scope projection at every node of a walk.
 """
+import random
 
 import dataclasses
 import time
@@ -19,15 +23,20 @@ from regsim import (
     History,
     HistoryError,
     OpKind,
+    OpRecord,
     SemanticsLevel,
+    VarSpec,
     build_multireader,
+    build_raw_register,
+    build_regular_bit,
     check_level,
     extract_history,
     feasible_values,
     random_execution,
 )
-from regsim.engine import SCOPE_BASE
-from regsim.history import read_allows, read_values, write_index
+from regsim import engine, history, timestamp
+from regsim.engine import SCOPE_BASE, _Sim
+from regsim.history import PENDING_END, read_values, read_window, write_index
 
 import read_scan
 from histgen import engine_history, histories, tree_histories
@@ -110,18 +119,19 @@ def test_six_thousand_op_history_checks_in_seconds():
 
 def assert_membership_alike(h: History) -> int:
     """For every completed Read of ``h`` and every value of its domain, at
-    safe and at regular, ``read_allows`` answers ``value in read_values``.
-    Returns the number of Reads."""
+    safe and at regular, ``read_window``'s rule, ``value == latest or value
+    in others``, answers ``value in read_values``.  Returns the number of
+    Reads."""
     writes, reads = write_index(h), 0
     for r in h.ops:
         if r.kind is OpKind.READ and r.end is not None:
             reads += 1
-            spec, log = h.vars[r.var], writes.get(r.var)
+            spec, log = h.vars[r.var], writes[r.var]
             for level in (SemanticsLevel.SAFE, SemanticsLevel.REGULAR):
+                latest, others = read_window(spec, log, r.start, r.end, level)
                 values = read_values(spec, log, r.start, r.end, level)
                 for value in range(spec.domain):
-                    assert read_allows(spec, log, r.start, r.end, level, value) == (
-                        value in values)
+                    assert (value == latest or value in others) == (value in values)
     return reads
 
 
@@ -137,3 +147,84 @@ def test_read_allows_is_membership_on_every_bench_leaf(name, scope):
     hs = tree_histories(WORKLOADS[name][0], scope)
     assert len(hs) == {"regular_bit": 16258, "raw_safe": 8330}[name]
     assert sum(assert_membership_alike(h) for h in hs) > 0
+
+
+#: Walks whose base registers are atomic (multireader), safe bits read by
+#: the regular-bit protocol, and a safe register of domain 8.
+WALKS = {
+    "multireader": (build_multireader(2), [[("Write", 1), ("Write", 2)],
+                                           [("Read", None)] * 2, [("Read", None)]]),
+    "regular_bit": (build_regular_bit(2), [[("Write", 1), ("Write", 0)],
+                                           [("Read", None)] * 2, [("Read", None)]]),
+    "raw_safe": (build_raw_register(1, 8), [[("Write", 1), ("Write", 2), ("Write", 3)],
+                                            [("Read", None)] * 2]),
+}
+
+
+def assert_engine_logs_indexed(sim: _Sim) -> None:
+    index = write_index(extract_history(sim.snapshot(), SCOPE_BASE))
+    for reg, log in zip(sim.regs, sim.reg_writes):
+        assert log == index[reg.name]
+        assert [end is PENDING_END for end in log[0]] == [
+            end == PENDING_END for end in index[reg.name][0]]
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_engine_write_logs_are_write_index_at_every_node(name):
+    # Down a seeded walk and back up it by undo: at every node each base
+    # register's log, pending Write included, is the projection's.
+    spec, workload = WALKS[name]
+    for seed in range(200):
+        rng, sim = random.Random(seed), _Sim(spec, workload)
+        tokens = []
+        assert_engine_logs_indexed(sim)
+        while choices := sim.choices():
+            tokens.append(sim.apply(*choices[rng.randrange(len(choices))]))
+            assert_engine_logs_indexed(sim)
+        while tokens:
+            sim.undo(tokens.pop())
+            assert_engine_logs_indexed(sim)
+
+
+def write_op(op_id, start, end, arg):
+    return OpRecord(op_id, 0, "x", OpKind.WRITE, start, end, arg)
+
+
+def read_op(op_id, start, end, ret):
+    return OpRecord(op_id, 1, "x", OpKind.READ, start, end, None, ret)
+
+
+SPEC = VarSpec(domain=4, init=3, writers=frozenset({0}), readers=frozenset({1}))
+
+
+def test_a_variable_with_no_writes_has_the_seeded_log():
+    h = History(vars={"x": SPEC, "y": dataclasses.replace(SPEC, init=1)},
+                ops=(read_op(0, 0, 1, 3),))
+    assert write_index(h) == {"x": ([-1], [-2], [3]), "y": ([-1], [-2], [1])}
+
+
+def test_a_pending_writes_end_is_the_one_shared_object():
+    h = History(vars={"x": SPEC}, ops=(write_op(0, 0, 1, 1), write_op(1, 2, None, 2)))
+    assert write_index(h)["x"] == ([-1, 1, PENDING_END], [-2, 0, 2], [3, 1, 2])
+    assert write_index(h)["x"][0][2] is PENDING_END
+    assert engine.PENDING_END is history.PENDING_END is timestamp.PENDING_END
+    spec, workload = WALKS["raw_safe"]
+    sim = _Sim(spec, workload)
+    sim.apply(0, None)  # the Write begins and invokes its base Write
+    assert sim.reg_writes[0][0][-1] is PENDING_END
+
+
+@pytest.mark.parametrize("level", [SemanticsLevel.SAFE, SemanticsLevel.REGULAR],
+                         ids=["safe", "regular"])
+def test_a_read_before_every_write_ends_reads_the_initial_value(level):
+    # Write 0 spans steps 2-5; Read 1 ends before it starts and Read 2
+    # starts before it ends: both have the initial value as their latest.
+    h = History(vars={"x": SPEC}, ops=(
+        write_op(0, 2, 5, 1), read_op(1, 0, 1, 3), read_op(2, 3, 6, 1)))
+    log = write_index(h)["x"]
+    assert read_window(SPEC, log, 0, 1, level) == (3, ())
+    overlapping = range(4) if level is SemanticsLevel.SAFE else [1]
+    assert read_window(SPEC, log, 3, 6, level) == (3, overlapping)
+    assert check_level(h, level).ok
+    assert read_values(SPEC, log, 3, 6, level) == (
+        range(4) if level is SemanticsLevel.SAFE else (1, 3))

@@ -14,7 +14,8 @@ import pytest
 from regsim import (HistoryError, ProtocolSpec, SemanticsLevel, engine, enumerate_executions,
                     random_execution, run_schedule)
 from regsim.cli import main
-from regsim.engine import BaseRegisterSpec, ReadAction, ReturnAction, StepProgram, WriteAction
+from regsim.engine import (BaseRegisterSpec, ReadAction, ReturnAction, StepProgram, WriteAction,
+                           enumeration_limits)
 from regsim.scenario import build_protocol, load_scenario, scenario_from_dict
 from regsim.timestamp import CTS, LABELING, SCAN
 
@@ -64,9 +65,22 @@ for _path in sorted(SCENARIOS.glob("*.json")):
     WORKLOADS[_path.stem] = (_sc, BENCH_COUNTS.get(tree_key(_sc)))
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_walk_builds_what_a_replay_builds_and_shares_each_finish(name):
-    sc, distinct = WORKLOADS[name]
+@pytest.fixture(scope="session")
+def walked() -> dict[tuple, int]:
+    """Distinct finishes of each tree walked so far in the session, by its
+    tree_key and effective limits: a shipped scenario on a benchmark tree
+    shares that tree's walk."""
+    return {}
+
+
+def walk_and_replay(sc, walked: dict[tuple, int]) -> int:
+    """Walk ``sc``'s tree, replay every execution on a fresh ``_Sim``, and
+    check that the walk built what the replay builds and one object per
+    distinct finish; return the number of distinct finishes.  A tree
+    already in ``walked`` under the same limits is not walked again."""
+    key = (tree_key(sc), enumeration_limits(sc.limits))
+    if key in walked:
+        return walked[key]
     spec = build_protocol(sc)
     res = enumerate_executions(spec, sc.workload, sc.limits)
     assert res.count == len(res.executions) > 0
@@ -86,8 +100,16 @@ def test_walk_builds_what_a_replay_builds_and_shares_each_finish(name):
                           op.base_accesses, repr(op.ret)))
             objects.add(id(op))
     assert len(objects) == len(finishes)
+    walked[key] = len(finishes)
+    return walked[key]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_walk_builds_what_a_replay_builds_and_shares_each_finish(name, walked):
+    sc, distinct = WORKLOADS[name]
+    finishes = walk_and_replay(sc, walked)
     if distinct is not None:
-        assert len(finishes) == distinct
+        assert finishes == distinct
 
 
 @pytest.mark.parametrize("name", ["multiwriter", "mr_nowriteback", "cts"])
