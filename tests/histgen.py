@@ -258,6 +258,54 @@ def histories(draw, max_ops=24, max_domain=4, single_writer=False):
     return History(vars=specs, ops=tuple(ops))
 
 
+@st.composite
+def contention_like(draw, max_writes=7):
+    """Histories shaped like ``contention_history`` but with the symmetries
+    broken and kept at random: 2 to ``max_writes`` processes each make one
+    Write, from values 1-3 so that values repeat across processes, each
+    Write pending with probability about a quarter; one or two reader
+    processes make one to three Reads each.  A Read returns a written
+    value, the initial 0 or a value no Write writes, so Write values are
+    read or unread.  Either every Write is invoked before any other event,
+    all of them concurrent as in ``contention_history``, or every event
+    interleaves at random, so Writes also follow and overlap Reads."""
+    k = draw(st.integers(2, max_writes))
+    values = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    unread = 4  # in the domain, written by nobody
+    readers = draw(st.integers(1, 2))
+    ops = [[p, True, values[p], None, None] for p in range(k)]
+    streams = {p: [(ops[p], 3)] + ([] if draw(st.integers(0, 3)) == 0 else [(ops[p], 4)])
+               for p in range(k)}
+    for p in range(k, k + readers):
+        reads = [[p, False, draw(st.sampled_from(values + [0, unread])), None, None]
+                 for _ in range(draw(st.integers(1, 3)))]
+        ops += reads
+        streams[p] = [(op, edge) for op in reads for edge in (3, 4)]
+    step = 0
+    if draw(st.booleans()):
+        for p in draw(st.permutations(range(k))):
+            op, edge = streams[p].pop(0)
+            op[edge] = step
+            step += 1
+    queues = {p: q for p, q in streams.items() if q}
+    while queues:
+        active = sorted(queues)
+        p = active[draw(st.integers(0, len(active) - 1))]
+        op, edge = queues[p].pop(0)
+        op[edge] = step
+        step += 1
+        if not queues[p]:
+            del queues[p]
+    records = tuple(
+        OpRecord(op_id=i, proc=p, var="x", kind=OpKind.WRITE if is_write else OpKind.READ,
+                 start=start, end=end, arg=value if is_write else None,
+                 ret=None if is_write else value)
+        for i, (p, is_write, value, start, end) in enumerate(ops))
+    spec = VarSpec(domain=unread + 1, init=0, writers=frozenset(range(k)),
+                   readers=frozenset(range(k, k + readers)))
+    return History(vars={"x": spec}, ops=records)
+
+
 def engine_history(construction: str, seed: int, cut: bool = False) -> History:
     """A long high-level history of a random schedule of the n=3 engine
     construction: ``"multiwriter"`` runs 40 ops per process, Writes and

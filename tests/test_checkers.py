@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import regsim
+from regsim import checkers
 from regsim import (
     History,
     HistoryError,
@@ -155,6 +156,24 @@ def test_multiwriter_safe_regular_classification_errors():
     assert check_level(h, SemanticsLevel.ATOMIC).ok
 
 
+def test_an_untouched_multiwriter_variable_leaves_safe_and_regular_alone():
+    h = History(vars={"x": var(), "y": var(writers=(0, 1))},
+                ops=(w(0, 0, 1, 2), r(1, 2, 3, 2)))
+    for level in (SemanticsLevel.SAFE, SemanticsLevel.REGULAR):
+        assert check_level(h, level).ok
+
+
+@pytest.mark.parametrize("level", [SemanticsLevel.SAFE, SemanticsLevel.REGULAR])
+def test_a_touched_multiwriter_variable_is_refused_before_any_read_is_judged(level):
+    # The Read on x fails at every level, and comes first.
+    h = History(vars={"x": var(), "y": var(writers=(0, 1))},
+                ops=(w(0, 0, 1, 2), r(1, 2, 3, 5),
+                     OpRecord(2, 0, "y", OpKind.WRITE, 4, 5, arg=1)))
+    message = f"var 'y': {level.name.lower()} classification undefined, use Atomic"
+    with pytest.raises(HistoryError, match=f"^{message}$"):
+        check_level(h, level)
+
+
 def test_atomic_handles_multiwriter_overlapping_writes():
     h = History(
         vars={"x": VarSpec(domain=4, init=0, writers=frozenset({0, 1}),
@@ -216,10 +235,53 @@ def test_long_multiwriter_history_checks_past_the_recursion_limit():
 
 def test_ten_way_write_contention_fails_on_a_read():
     # 10! Write orders: out of reach of a search that forgets failed states.
+    # Any Write may come last, so the first Read can always be placed; the
+    # second, with no Write left to place, cannot.
     h = contention_history(random.Random(10), 10)
     v = check_level(h, SemanticsLevel.ATOMIC)
     assert not v.ok
-    assert {o.op_id: o for o in h.ops}[v.violating_op].kind is OpKind.READ
+    first, second = sorted((o for o in h.ops if o.kind is OpKind.READ), key=lambda o: o.start)
+    assert v.violating_op == second.op_id == 11
+
+
+def test_twelve_way_write_contention_checks_in_little_memory():
+    # Remembering every failed (placed set, value) state holds about
+    # 2^12 * 12 of them, over 4 MB; up to symmetry the ten unread Writes are
+    # one class and their values one value, a few hundred states.
+    h = contention_history(random.Random(12), 12)
+    tracemalloc.start()
+    try:
+        v = check_level(h, SemanticsLevel.ATOMIC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.violating_op == 13
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("h", [
+    hist(w(0, 0, 1, 1), r(1, 2, 3, 1)),
+    new_old_inversion(),
+    contention_history(random.Random(7), 7),
+    History(vars={"x": var(), "y": var()},
+            ops=(w(0, 0, 1, 1), OpRecord(1, 0, "y", OpKind.WRITE, 2, 3, arg=2))),
+], ids=["pass", "fail", "contention", "two_vars"])
+def test_the_checkers_verdict_equals_the_public_constructors(h):
+    v = check_level(h, SemanticsLevel.ATOMIC)
+    public = regsim.Verdict(v.ok, v.violating_op, v.reason, v.linearizations)
+    assert type(v) is regsim.Verdict
+    assert v == public and repr(v) == repr(public)
+
+
+def test_the_private_verdict_constructor_builds_what_the_public_one_does():
+    lins = {"x": (0, 1)}
+    assert checkers._verdict(True, None, None, lins) == regsim.Verdict(
+        ok=True, linearizations=lins)
+    assert checkers._verdict(False, 3, "why", None) == regsim.Verdict(
+        ok=False, violating_op=3, reason="why")
+    # The public constructor still tests the witness.
+    with pytest.raises(ValueError, match="requires a witness"):
+        regsim.Verdict(ok=False, violating_op=3)
 
 
 # -- brute force oracle -----------------------------------------------------
