@@ -10,7 +10,7 @@ holds them to that.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping
@@ -59,28 +59,6 @@ class Verdict:
             raise ValueError("failing verdict requires a witness")
 
 
-_new = object.__new__
-_set_ok, _set_violating_op, _set_reason, _set_linearizations = (
-    Verdict.ok.__set__, Verdict.violating_op.__set__, Verdict.reason.__set__,
-    Verdict.linearizations.__set__)
-
-
-def _verdict(ok: bool, violating_op: int | None, reason: str | None,
-             linearizations: Mapping[str, tuple[int, ...]] | None) -> Verdict:
-    """The checker's own verdict, whose witness it built: a passing one
-    with its linearizations, or a failing one with both its op and its
-    reason.  ``__post_init__``'s test has nothing to catch here and is
-    skipped, as is the class call: about 0.38 us where ``Verdict(...)``
-    takes 0.45 us (timeit, Python 3.11); as a classmethod it measured no
-    faster than the public constructor."""
-    v = _new(Verdict)
-    _set_ok(v, ok)
-    _set_violating_op(v, violating_op)
-    _set_reason(v, reason)
-    _set_linearizations(v, linearizations)
-    return v
-
-
 #: The verdict of every passing check that carries no witness.
 PASS = Verdict(ok=True)
 
@@ -124,11 +102,11 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     variable rather than n! orders, and no depth limit.  Each node scans
     only as far as the last op that starts before the lowest unplaced op
     ends, so where few ops overlap a search that never backtracks costs
-    O(n log n).  A search whose memo has answered as many lookups as the
-    variable has completed ops starts again from the root, remembering
-    failed states up to symmetry (interchangeable Writes, and values no
-    Read returns): k concurrent Writes of distinct values, two of them
-    read, take about 4k placed sets rather than 2^k, with the same verdict.
+    O(n log n).  Where two Writes start after the same ops end, states are
+    taken up to symmetry: of interchangeable Writes only the lowest
+    unplaced is tried, and values no Read returns count as one value, so
+    k concurrent Writes of distinct values, two of them read, take about
+    4k placed sets rather than 2^k, with the same verdict.
     """
     if level is SemanticsLevel.ATOMIC:
         return _check_atomic(h)
@@ -160,24 +138,25 @@ def _check_atomic(h: History) -> Verdict:
         found, witness = _linearize_var(h, var)
         if found is None:
             return _unplaceable(var, witness)
-        return _verdict(True, None, None, {var: found})
+        return Verdict(True, None, None, {var: found})
     lins: dict[str, tuple[int, ...]] = {}
     for var in sorted({op.var for op in h.ops}):
         found, witness = _linearize_var(h, var)
         if found is None:
             return _unplaceable(var, witness)
         lins[var] = found
-    return _verdict(True, None, None, lins)
+    return Verdict(ok=True, linearizations=lins)
 
 
 def _unplaceable(var: str, witness: OpRecord | None) -> Verdict:
     assert witness is not None
-    return _verdict(
-        False,
-        witness.op_id,
-        f"no linearization of {var!r}: Read {witness.op_id} "
-        f"(ret {witness.ret}) cannot be placed consistently",
-        None,
+    return Verdict(
+        ok=False,
+        violating_op=witness.op_id,
+        reason=(
+            f"no linearization of {var!r}: Read {witness.op_id} "
+            f"(ret {witness.ret}) cannot be placed consistently"
+        ),
     )
 
 
@@ -210,11 +189,28 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     an op beyond that starts after op ``low`` ends, so it cannot come next,
     and skipping it changes nothing either.
 
-    The memo answering a lookup means the search met a state again; after
-    ``need`` such answers, as on concurrent Writes, whose orders reach the
-    same placed sets over and over, :func:`_merged_search` takes over from
-    the root and returns what this search would have.  Only that branch
-    counts, so a search that never meets a state twice runs as before.
+    Where two Writes have the same pre, which two Writes of one process
+    never have, states are taken up to symmetry (:func:`_symmetry`):
+
+    * Writes are interchangeable when they have the same pre, are all
+      completed or all pending, and have equal values or each an unread
+      one, and no op's pre falls between them in end order.  Swapping two
+      of them then keeps which ops precede which, what must be placed and
+      what each Read sees.  Such Writes form a class, and a Write is a
+      candidate only once the Writes below it in its class are placed: the
+      lowest unplaced member stands for them all, and the search tries it
+      first in any case.
+    * A value no completed Read returns is only ever told apart from the
+      values Reads return, so all such values are one value, -1 (values
+      are never negative).
+
+    A state reached by placing another member instead is equivalent: at
+    the same depth, with the same outcome, rejecting the same Reads on the
+    way, since Reads are never permuted; the plain search would meet it
+    only after the lowest member's state had failed.  So neither the
+    witness nor the blocking Read changes.  k concurrent Writes of
+    distinct values of which r are read take (k - r + 1) * 2^r placed sets
+    rather than 2^k.
     """
     spec = h.vars[var]
     read = OpKind.READ
@@ -238,61 +234,67 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     # The first descent: the end order, while every Read returns the
     # current value.
     value = spec.init
-    for o in ops:
+    for k, o in enumerate(ops):
         if o.kind is read:
             if o.ret != value:
-                blocker = o
                 break
         else:
             value = o.arg
     else:
         return tuple([o.op_id for o in ops]), None
-    # One (placed mask, value, next candidate) frame per placed op: the
-    # descent's, up to the blocking Read at index k.
-    stack: list[tuple[int, int, int]] = []
-    value = spec.init
-    for k, o in enumerate(ops):
-        if o is blocker:
-            break
-        stack.append(((1 << k) - 1, value, k + 1))
-        if o.kind is not read:
-            value = o.arg
-    mask, i = (1 << k) - 1, 0
 
     ends = [o.end for o in ops]
     ops += pending
-    # Per op: pre, is-Read, value.  ops[:pre] are the ops that end before
-    # this one starts, so it may come next once every op below pre is placed.
-    # reach[l] is one past the last op whose pre <= l: with ops below l
-    # placed, no op from reach[l] on may come next.
+    # Per op: pre, is-Read, value, and the bits of the Writes below it in
+    # its class, none until _symmetry sets them.  ops[:pre] are the ops
+    # that end before this one starts, so it may come next once every op
+    # below pre is placed.  reach[l] is one past the last op whose pre <= l:
+    # with ops below l placed, no op from reach[l] on may come next.
     cands = []
     reach = [0] * (need + 1)
     for j, o in enumerate(ops, 1):
         pre = bisect_left(ends, o.start)
         reach[pre] = j
-        cands.append((pre, True, o.ret) if o.kind is read else (pre, False, o.arg))
+        if o.kind is read:
+            cands.append((pre, True, o.ret, 0))
+        else:
+            cands.append((pre, False, o.arg, 0))
     top = 0
     for j, r in enumerate(reach):  # running maximum, in place
         if r > top:
             top = r
         else:
             reach[j] = top
+    # Interchangeable Writes have the same pre, which one process's Writes
+    # never have.
+    init = _symmetry(cands, need, spec.init) if len(spec.writers) > 1 else spec.init
+
+    # One (placed mask, value, next candidate) frame per placed op: the
+    # descent's, up to the blocking Read at index k.  The descent places
+    # each class's lowest members first, as the search does.
+    stack: list[tuple[int, int, int]] = []
+    value = init
+    for j in range(k):
+        stack.append(((1 << j) - 1, value, j + 1))
+        if not cands[j][1]:
+            value = cands[j][2]
+    mask, i = (1 << k) - 1, 0
 
     failed: set[tuple[int, int]] = set()
     # Deepest prefix the search reached, and the reads rejected there:
     # the earliest of those is the reported inconsistency witness.
     best_depth = -1
     blocked: list[OpRecord] = []
-    hits = need  # memo answers left before the merged search takes over
     while True:
         low = (~mask & (mask + 1)).bit_length() - 1  # lowest unplaced op
         if low >= need:
             return tuple(ops[f[2] - 1].op_id for f in stack), None
         # i is 0 on a new node, one past the last tried candidate on a
         # resumed one; ops below low are all placed, ops from reach[low] on
-        # must wait for op low.
+        # must wait for op low, and a Write waits for the Writes below it
+        # in its class.
         for i in range(i if i > low else low, reach[low]):
-            pre, is_read, v = cands[i]
+            pre, is_read, v, below = cands[i]
             if pre > low or mask >> i & 1:
                 continue
             if is_read:
@@ -305,128 +307,67 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
                         blocked.append(ops[i])
                     continue
                 v = value
+            elif below and below & ~mask:
+                continue
             child = (mask | 1 << i, v)
             if child not in failed:
                 stack.append((mask, value, i + 1))
                 mask, value = child
                 i = 0
                 break
-            hits -= 1
-            if not hits:
-                return _merged_search(ops, need, spec.init, cands, reach)
         else:
             failed.add((mask, value))
             if not stack:
                 break
             mask, value, i = stack.pop()
-    return None, _blocking_read(ops, blocked)
 
-
-def _merged_search(ops: list[OpRecord], need: int, init: int,
-                   cands: list[tuple[int, bool, int]],
-                   reach: list[int]) -> tuple[tuple[int, ...] | None, OpRecord | None]:
-    """:func:`_linearize_var`'s search from the root, remembering failed
-    states up to symmetry.
-
-    Two states are equivalent when a permutation of interchangeable Writes
-    and a renaming of unread values turn one into the other:
-
-    * Writes are interchangeable when they have the same pre, are all
-      completed or all pending, and have equal values or each an unread
-      one, and no op's pre falls between them in end order.  Swapping two
-      of them then keeps which ops precede which, what must be placed and
-      what each Read sees, so such Writes form a class, and a state is
-      keyed by how many of each class are placed: by the class's lowest
-      that many members.
-    * A value no completed Read returns is only ever told apart from the
-      values Reads return, so all such values are one value, -1.
-
-    Equivalent states are at the same depth, reach the same outcome and
-    reject the same Reads on the way, since Reads are never permuted.  So
-    skipping a state equivalent to a failed one, as the plain search skips
-    a failed state itself, changes neither the witness nor the blocking
-    Read: this is the plain search with fewer states.  For k concurrent
-    Writes of distinct values of which r are read, that is (k - r + 1) *
-    2^r placed sets where the plain search has 2^k.
-    """
-    seen = {o.ret for o in ops[:need] if o.kind is OpKind.READ}
-    cands = [(pre, is_read, v if is_read or v in seen else -1) for pre, is_read, v in cands]
-    members = _classes(cands, need)  # per op, its class's bits
-
-    failed: set[tuple[int, int]] = set()
-    best_depth = -1
-    blocked: list[OpRecord] = []
-    # Frames are (placed mask, its key, value, next candidate); the key has
-    # each class's lowest members set, as many as the mask has placed.
-    stack: list[tuple[int, int, int, int]] = []
-    mask = key = i = 0
-    value = init if init in seen else -1
-    while True:
-        low = (~mask & (mask + 1)).bit_length() - 1
-        if low >= need:
-            return tuple(ops[f[3] - 1].op_id for f in stack), None
-        for i in range(i if i > low else low, reach[low]):
-            pre, is_read, v = cands[i]
-            if pre > low or mask >> i & 1:
-                continue
-            if is_read:
-                if v != value:
-                    depth = len(stack)
-                    if depth > best_depth:
-                        best_depth = depth
-                        blocked = [ops[i]]
-                    elif depth == best_depth:
-                        blocked.append(ops[i])
-                    continue
-                v = value
-            free = members[i] & ~key  # the class's unplaced members
-            child = (key | free & -free, v)
-            if child not in failed:
-                stack.append((mask, key, value, i + 1))
-                mask |= 1 << i
-                key, value = child
-                i = 0
-                break
-        else:
-            failed.add((key, value))
-            if not stack:
-                break
-            mask, key, value, i = stack.pop()
-    return None, _blocking_read(ops, blocked)
-
-
-def _classes(cands: list[tuple[int, bool, int]], need: int) -> list[int]:
-    """Per op of a candidate table whose unread values are already one
-    value, the bits of its class of interchangeable Writes, or its own bit
-    alone.  Writes are grouped by pre, completion and value, and a group is
-    split wherever some op's pre falls between two of its Writes in end
-    order."""
-    groups: dict[tuple[int, bool, int], list[int]] = {}
-    for j, (pre, is_read, v) in enumerate(cands):
-        if not is_read:
-            groups.setdefault((pre, j < need, v), []).append(j)
-    pres = sorted({c[0] for c in cands})
-    members = [1 << j for j in range(len(cands))]
-    for group in groups.values():
-        runs = [[group[0]]]
-        for a, b in zip(group, group[1:]):
-            if bisect_right(pres, a) < bisect_right(pres, b):  # a < some pre <= b
-                runs.append([])
-            runs[-1].append(b)
-        for run in runs:
-            bits = sum(1 << j for j in run)
-            for j in run:
-                members[j] = bits
-    return members
-
-
-def _blocking_read(ops: list[OpRecord], blocked: list[OpRecord]) -> OpRecord:
-    """The reported witness of a failed search: the earliest Read rejected
-    at the deepest prefix the search reached."""
     if blocked:
-        return min(blocked, key=lambda o: (o.start, o.op_id))
-    # unreachable for interval orders, kept for safety
-    return next(o for o in ops if o.kind is OpKind.READ)
+        witness = min(blocked, key=lambda o: (o.start, o.op_id))
+    else:  # unreachable for interval orders, kept for safety
+        witness = next(o for o in ops if o.kind is OpKind.READ)
+    return None, witness
+
+
+def _symmetry(cands: list[tuple[int, bool, int, int]], need: int, init: int) -> int:
+    """Key a candidate table up to symmetry, in place, and return the
+    initial value as keyed.  Each Write whose pre another Write shares
+    gets the bits of the Writes below it in its class of interchangeable
+    Writes, and its value becomes -1 if no Read returns it (values are
+    never negative).  Those Writes are grouped by pre, completion and
+    value, and a group splits into classes wherever some op's pre falls
+    between two of its Writes in end order."""
+    pres = 0  # bit p set when some op's pre is p
+    write_pres = 0  # ... some Write's
+    shared = 0  # ... two Writes'
+    seen = set()
+    for pre, is_read, v, _ in cands:
+        bit = 1 << pre
+        pres |= bit
+        if is_read:
+            seen.add(v)
+        elif write_pres & bit:
+            shared |= bit
+        else:
+            write_pres |= bit
+    if not shared:
+        return init
+    groups: dict[tuple[int, bool, int], list[int]] = {}
+    for j, (pre, is_read, v, _) in enumerate(cands):
+        if not is_read and shared >> pre & 1:
+            if v not in seen:
+                v = -1
+                cands[j] = (pre, False, v, 0)
+            groups.setdefault((pre, j < need, v), []).append(j)
+    for group in groups.values():
+        below = 0
+        for a, b in zip(group, group[1:]):
+            if pres >> a + 1 & (1 << b - a) - 1:  # a < some pre <= b
+                below = 0
+            else:
+                below |= 1 << a
+                pre, _, v, _ = cands[b]
+                cands[b] = (pre, False, v, below)
+    return init if init in seen else -1
 
 
 def brute_force_atomic(h: History) -> bool:

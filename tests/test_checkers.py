@@ -9,7 +9,6 @@ import tracemalloc
 import pytest
 
 import regsim
-from regsim import checkers
 from regsim import (
     History,
     HistoryError,
@@ -257,31 +256,6 @@ def test_twelve_way_write_contention_checks_in_little_memory():
         tracemalloc.stop()
     assert v.violating_op == 13
     assert peak < 2**20
-
-
-@pytest.mark.parametrize("h", [
-    hist(w(0, 0, 1, 1), r(1, 2, 3, 1)),
-    new_old_inversion(),
-    contention_history(random.Random(7), 7),
-    History(vars={"x": var(), "y": var()},
-            ops=(w(0, 0, 1, 1), OpRecord(1, 0, "y", OpKind.WRITE, 2, 3, arg=2))),
-], ids=["pass", "fail", "contention", "two_vars"])
-def test_the_checkers_verdict_equals_the_public_constructors(h):
-    v = check_level(h, SemanticsLevel.ATOMIC)
-    public = regsim.Verdict(v.ok, v.violating_op, v.reason, v.linearizations)
-    assert type(v) is regsim.Verdict
-    assert v == public and repr(v) == repr(public)
-
-
-def test_the_private_verdict_constructor_builds_what_the_public_one_does():
-    lins = {"x": (0, 1)}
-    assert checkers._verdict(True, None, None, lins) == regsim.Verdict(
-        ok=True, linearizations=lins)
-    assert checkers._verdict(False, 3, "why", None) == regsim.Verdict(
-        ok=False, violating_op=3, reason="why")
-    # The public constructor still tests the witness.
-    with pytest.raises(ValueError, match="requires a witness"):
-        regsim.Verdict(ok=False, violating_op=3)
 
 
 # -- brute force oracle -----------------------------------------------------
