@@ -102,11 +102,11 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     variable rather than n! orders, and no depth limit.  Each node scans
     only as far as the last op that starts before the lowest unplaced op
     ends, so where few ops overlap a search that never backtracks costs
-    O(n log n).  Where two Writes start after the same ops end, states are
-    taken up to symmetry: of interchangeable Writes only the lowest
-    unplaced is tried, and values no Read returns count as one value, so
-    k concurrent Writes of distinct values, two of them read, take about
-    4k placed sets rather than 2^k, with the same verdict.
+    O(n log n).  Where Writes start after the same ops end, each waits
+    for those of its value among them that come before it in candidate
+    order, values no Read returns counting as one value; so k concurrent
+    Writes of distinct values, two of them read, take 4k - 3 placed sets
+    rather than 2^k, with the same verdict.
     """
     if level is SemanticsLevel.ATOMIC:
         return _check_atomic(h)
@@ -190,27 +190,27 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     and skipping it changes nothing either.
 
     Where two Writes have the same pre, which two Writes of one process
-    never have, states are taken up to symmetry (:func:`_symmetry`):
+    never have, states are taken up to dominance (:func:`_symmetry`):
 
-    * Writes are interchangeable when they have the same pre, are all
-      completed or all pending, and have equal values or each an unread
-      one, and no op's pre falls between them in end order.  Swapping two
-      of them then keeps which ops precede which, what must be placed and
-      what each Read sees.  Such Writes form a class, and a Write is a
-      candidate only once the Writes below it in its class are placed: the
-      lowest unplaced member stands for them all, and the search tries it
-      first in any case.
+    * A Write waits for every Write below it with the same pre and the
+      same value as keyed: it is a candidate only once they are placed.
+      Take two such Writes a and b, a first in the candidate order: it
+      ends earlier, or b is pending.  Both follow the same ops, and b
+      precedes only ops that a precedes too.  So in any valid order or
+      prefix that places b before a, or places b and not a, swapping the
+      two keeps precedence and what must be placed, and every Read sees
+      the same value.  The swapped prefix is as deep, and
+      every Read blocked in the first is blocked in it too, since its
+      lowest unplaced op is no lower.  So trying a first loses no
+      linearization: the plain search, which tries a first anyway, finds
+      nothing under b that it did not find under a.
     * A value no completed Read returns is only ever told apart from the
       values Reads return, so all such values are one value, -1 (values
       are never negative).
 
-    A state reached by placing another member instead is equivalent: at
-    the same depth, with the same outcome, rejecting the same Reads on the
-    way, since Reads are never permuted; the plain search would meet it
-    only after the lowest member's state had failed.  So neither the
-    witness nor the blocking Read changes.  k concurrent Writes of
-    distinct values of which r are read take (k - r + 1) * 2^r placed sets
-    rather than 2^k.
+    So neither the witness nor the blocking Read changes.  k concurrent
+    Writes of distinct values of which r are read take (k - r + 1) * 2^r
+    placed sets rather than 2^k.
     """
     spec = h.vars[var]
     read = OpKind.READ
@@ -245,8 +245,8 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
 
     ends = [o.end for o in ops]
     ops += pending
-    # Per op: pre, is-Read, value, and the bits of the Writes below it in
-    # its class, none until _symmetry sets them.  ops[:pre] are the ops
+    # Per op: pre, is-Read, value, and the bits of the Writes it waits
+    # for, none until _symmetry sets them.  ops[:pre] are the ops
     # that end before this one starts, so it may come next once every op
     # below pre is placed.  reach[l] is one past the last op whose pre <= l:
     # with ops below l placed, no op from reach[l] on may come next.
@@ -265,13 +265,13 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
             top = r
         else:
             reach[j] = top
-    # Interchangeable Writes have the same pre, which one process's Writes
-    # never have.
-    init = _symmetry(cands, need, spec.init) if len(spec.writers) > 1 else spec.init
+    # A Write waits only for Writes of its pre, which one process's Writes
+    # never share.
+    init = _symmetry(cands, spec.init) if len(spec.writers) > 1 else spec.init
 
     # One (placed mask, value, next candidate) frame per placed op: the
     # descent's, up to the blocking Read at index k.  The descent places
-    # each class's lowest members first, as the search does.
+    # ops in index order, so no Write before the Writes it waits for.
     stack: list[tuple[int, int, int]] = []
     value = init
     for j in range(k):
@@ -292,7 +292,7 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
         # i is 0 on a new node, one past the last tried candidate on a
         # resumed one; ops below low are all placed, ops from reach[low] on
         # must wait for op low, and a Write waits for the Writes below it
-        # in its class.
+        # with its pre and value.
         for i in range(i if i > low else low, reach[low]):
             pre, is_read, v, below = cands[i]
             if pre > low or mask >> i & 1:
@@ -328,21 +328,17 @@ def _linearize_var(h: History, var: str) -> tuple[tuple[int, ...] | None, OpReco
     return None, witness
 
 
-def _symmetry(cands: list[tuple[int, bool, int, int]], need: int, init: int) -> int:
+def _symmetry(cands: list[tuple[int, bool, int, int]], init: int) -> int:
     """Key a candidate table up to symmetry, in place, and return the
-    initial value as keyed.  Each Write whose pre another Write shares
-    gets the bits of the Writes below it in its class of interchangeable
-    Writes, and its value becomes -1 if no Read returns it (values are
-    never negative).  Those Writes are grouped by pre, completion and
-    value, and a group splits into classes wherever some op's pre falls
-    between two of its Writes in end order."""
-    pres = 0  # bit p set when some op's pre is p
-    write_pres = 0  # ... some Write's
+    initial value as keyed.  Each Write whose pre another Write shares has
+    its value become -1 if no Read returns it (values are never negative),
+    and gets the bits of every lower Write with the same pre and the same
+    value as keyed: it waits for them."""
+    write_pres = 0  # bit p set when some Write's pre is p
     shared = 0  # ... two Writes'
     seen = set()
     for pre, is_read, v, _ in cands:
         bit = 1 << pre
-        pres |= bit
         if is_read:
             seen.add(v)
         elif write_pres & bit:
@@ -351,22 +347,14 @@ def _symmetry(cands: list[tuple[int, bool, int, int]], need: int, init: int) -> 
             write_pres |= bit
     if not shared:
         return init
-    groups: dict[tuple[int, bool, int], list[int]] = {}
+    classes: dict[tuple[int, int], int] = {}
     for j, (pre, is_read, v, _) in enumerate(cands):
         if not is_read and shared >> pre & 1:
             if v not in seen:
                 v = -1
-                cands[j] = (pre, False, v, 0)
-            groups.setdefault((pre, j < need, v), []).append(j)
-    for group in groups.values():
-        below = 0
-        for a, b in zip(group, group[1:]):
-            if pres >> a + 1 & (1 << b - a) - 1:  # a < some pre <= b
-                below = 0
-            else:
-                below |= 1 << a
-                pre, _, v, _ = cands[b]
-                cands[b] = (pre, False, v, below)
+            below = classes.get((pre, v), 0)
+            cands[j] = (pre, False, v, below)
+            classes[pre, v] = below | 1 << j
     return init if init in seen else -1
 
 

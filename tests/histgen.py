@@ -306,6 +306,69 @@ def contention_like(draw, max_writes=7):
     return History(vars={"x": spec}, ops=records)
 
 
+@st.composite
+def shared_pre_writes(draw):
+    """Histories with groups of Writes that share a pre.  Process 0 first
+    makes zero to two sequential Writes, so the groups' pre varies.  Then
+    two to four Writes, one per process, are invoked back to back: they
+    all start after the same ops end.  Each is pending with probability
+    about a third, and their values are 1-3, so values repeat.  One or two
+    reader processes make one to three Reads each, returning 0-4: the
+    initial value, a value some Write may write, or 4, which nobody
+    writes, so some written values are read and others are not.  After
+    the group is invoked, its responds, the Reads' events and, half the
+    time, the invoking of a second group of two or three Writes interleave
+    at random.  So Reads often start between two of a group's ends, and
+    the second group's Writes have a later pre than the first's."""
+    unread = 4  # in the domain, written by nobody
+    ops: list[list] = []  # [proc, is_write, value, start, end]
+    step = 0
+
+    def at(op, edge):
+        nonlocal step
+        op[edge] = step
+        step += 1
+
+    for _ in range(draw(st.integers(0, 2))):
+        op = [0, True, draw(st.integers(1, 3)), None, None]
+        ops.append(op)
+        at(op, 3)
+        at(op, 4)
+
+    def group(first, size):
+        members = [[p, True, draw(st.integers(1, 3)), None, None]
+                   for p in range(first, first + size)]
+        ops.extend(members)
+        for op in draw(st.permutations(members)):
+            at(op, 3)
+        return [[(op, 4)] for op in members if draw(st.integers(0, 2))]
+
+    size = draw(st.integers(2, 4))
+    second = draw(st.sampled_from([0, 2, 3]))
+    writers = frozenset(range(1 + size + second))
+    readers = frozenset(range(len(writers), len(writers) + draw(st.integers(1, 2))))
+    queues = group(1, size) + ([[(None, second)]] if second else [])
+    for p in sorted(readers):
+        reads = [[p, False, draw(st.integers(0, unread)), None, None]
+                 for _ in range(draw(st.integers(1, 3)))]
+        ops += reads
+        queues.append([(op, edge) for op in reads for edge in (3, 4)])
+    while queues:
+        op, edge = queues[draw(st.integers(0, len(queues) - 1))].pop(0)
+        if op is None:
+            queues += group(1 + size, edge)
+        else:
+            at(op, edge)
+        queues = [q for q in queues if q]
+    records = tuple(
+        OpRecord(op_id=i, proc=p, var="x", kind=OpKind.WRITE if is_write else OpKind.READ,
+                 start=start, end=end, arg=value if is_write else None,
+                 ret=None if is_write else value)
+        for i, (p, is_write, value, start, end) in enumerate(ops))
+    spec = VarSpec(domain=unread + 1, init=0, writers=writers, readers=readers)
+    return History(vars={"x": spec}, ops=records)
+
+
 def engine_history(construction: str, seed: int, cut: bool = False) -> History:
     """A long high-level history of a random schedule of the n=3 engine
     construction: ``"multiwriter"`` runs 40 ops per process, Writes and

@@ -137,13 +137,13 @@ def assert_membership_alike(h: History) -> int:
 
 @PINNED
 @given(histories(single_writer=True))
-def test_read_allows_is_membership_in_read_values(h):
+def test_read_window_is_membership_in_read_values(h):
     assert_membership_alike(h)
 
 
 @pytest.mark.parametrize("scope", ["high", SCOPE_BASE])
 @pytest.mark.parametrize("name", ["regular_bit", "raw_safe"])
-def test_read_allows_is_membership_on_every_bench_leaf(name, scope):
+def test_read_window_is_membership_on_every_bench_leaf(name, scope):
     hs = tree_histories(WORKLOADS[name][0], scope)
     assert len(hs) == {"regular_bit": 16258, "raw_safe": 8330}[name]
     assert sum(assert_membership_alike(h) for h in hs) > 0

@@ -7,10 +7,12 @@ returning the end order when no Read blocks it, or resuming the search from
 the prefix before the first Read that does: on every history both searches
 return the same witness linearization, the same blocking Read and so the
 same Verdict, field for field.  Nor may remembering failed states up to
-symmetry, with interchangeable Writes and unread values merged: the
-contention-like histories and the near-symmetric hand-built ones below
-are where that merging acts.  ``brute_force_atomic`` stays out of this:
-it is the independent oracle, not a reference implementation.
+dominance, with a Write waiting for the Writes of its pre and value that
+come before it and with unread values merged: the contention-like and
+shared-pre histories and the near-symmetric hand-built ones below are
+where that acts.  ``brute_force_atomic`` is no reference for the witness;
+it is the independent oracle, and only confirms the verdict on the
+shared-pre histories small enough for it.
 """
 
 import random
@@ -20,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsim import History, OpKind, SemanticsLevel, check_level
+from regsim import History, OpKind, SemanticsLevel, brute_force_atomic, check_level
 from regsim import checkers
+from regsim.checkers import BRUTE_FORCE_LIMIT
 from regsim.engine import SCOPE_BASE
 
 from dfs_search import linearize_var
 from histgen import (contention_history, contention_like, engine_history, histories,
-                     tree_histories)
+                     shared_pre_writes, tree_histories)
 from test_checkers import hist, r, w
 from test_shared_ops import WORKLOADS
 
@@ -159,7 +162,16 @@ def test_search_matches_dfs_on_contention_like_histories(h):
     assert_same_search(h)
 
 
-#: Writes that are interchangeable, or would be but for one difference.
+@PINNED
+@given(shared_pre_writes())
+def test_search_matches_dfs_and_the_oracle_on_shared_pre_writes(h):
+    assert_same_search(h)
+    if sum(o.end is not None for o in h.ops) <= BRUTE_FORCE_LIMIT:
+        assert brute_force_atomic(h) == check_level(h, SemanticsLevel.ATOMIC).ok
+
+
+#: Writes of one pre and value, where one waits for the other, or would
+#: but for one difference.
 NEAR_SYMMETRIC = {
     # Reads of 1 and then 0 by processes 1 and 2 end before two Writes of 1
     # by processes 0 and 3, so no op starts after either Write ends and no
@@ -180,6 +192,27 @@ NEAR_SYMMETRIC = {
     # Unread values 2 and 3, and the read 1.
     "unread_values": hist(w(0, 0, 4, 2), w(1, 1, 5, 3, proc=3), w(2, 2, 6, 1, proc=4),
                           r(3, 7, 8, 1), writers=(0, 3, 4), readers=(1,)),
+    # Two Writes of the unread 2 and one of 3, all concurrent; a Read of 3
+    # starts between the two ends of 2.  The end order blocks the Read, and
+    # the witness places the earlier-ending Write of 2 first and the other
+    # after the Read, so the search backtracks past the Write that waits.
+    "a_read_between_the_ends": hist(w(0, 0, 6, 2), w(1, 2, 3, 3, proc=2),
+                                    w(2, 1, 4, 2, proc=3), r(3, 5, 7, 3, proc=4),
+                                    writers=(0, 2, 3), readers=(4,)),
+    # Two completed Writes of the unread 3 and a pending one, concurrent
+    # with a Write of 2 that a later Read returns: the pending Write waits
+    # for both completed ones while the search backtracks.
+    "pending_after_completed": hist(w(0, 1, 4, 2), w(1, 0, None, 3, proc=2),
+                                    w(2, 3, 5, 3, proc=3), w(3, 2, 6, 3, proc=4),
+                                    r(4, 7, 8, 2, proc=5),
+                                    writers=(0, 2, 3, 4), readers=(5,)),
+    # A pending Write of 1 must precede the Read of 1 that starts after it;
+    # a completed Write of 1 ends earlier but starts after that Read ends,
+    # a later pre, so the pending Write must not wait for it.
+    "same_value_later_pre": hist(w(0, 5, 6, 3), w(1, 0, None, 1, proc=2),
+                                 w(2, 2, None, 3, proc=3), w(3, 4, 7, 1, proc=4),
+                                 r(4, 1, 3, 1, proc=5),
+                                 writers=(0, 2, 3, 4), readers=(5,)),
 }
 
 
