@@ -22,8 +22,10 @@ itself can be exercised and checked.
 
 Tags are (sequence, process-id) pairs under lexicographic order.  They are
 unbounded naturals in principle; encoding into the finite base-register
-domain uses a fixed width that desk-scale runs cannot exhaust, with a
-guard that fails loudly if they ever do.
+domain uses a fixed width that desk-scale runs cannot exhaust by counting.
+A garbage tag read from a weak base can still carry the largest sequence
+number, and the next one then wraps to 0, as a finite tag field does; the
+checker judges what follows.
 """
 
 from __future__ import annotations
@@ -63,9 +65,14 @@ def tag_less(a: Tag, b: Tag) -> bool:
     return a.seq < b.seq or (a.seq == b.seq and a.pid < b.pid)
 
 
-#: Sequence numbers below this bound are encodable; desk-scale runs use a
-#: few dozen at most.  The bounded constructions that remove this limit
-#: altogether are out of scope here.
+#: Sequence numbers below this bound are encodable; desk-scale runs count
+#: to a few dozen at most.  The multiwriter Write, which the cts Labeling
+#: runs, wraps the successor of the largest sequence number it collected
+#: modulo this bound, as a finite tag field does: a garbage tag from a safe
+#: base can hold ``MAX_SEQ - 1``, and the Write after it is then tagged 0,
+#: in the register and in the Labeling's label alike, for the checker to
+#: judge.  The bounded constructions that remove this limit altogether are
+#: out of scope here.
 MAX_SEQ = 1 << 20
 
 
@@ -73,7 +80,11 @@ class TagCodec:
     """Injective pairing of (seq, pid, payload) into one register value.
 
     ``encode(seq, pid, val) = (seq * n_pids + pid) * payload_domain + val``
-    so the register domain is ``MAX_SEQ * n_pids * payload_domain``.
+    so the register domain is ``MAX_SEQ * n_pids * payload_domain``, and
+    every value of it decodes, garbage included.  ``encode`` refuses a
+    ``seq`` of ``MAX_SEQ`` or more as a broken invariant: a sequence number
+    taken from a collected tag is wrapped modulo ``MAX_SEQ`` before it is
+    encoded (see ``MAX_SEQ``).
     """
 
     def __init__(self, n_pids: int, payload_domain: int):
@@ -345,7 +356,8 @@ class _MultiWriterProgram(StepProgram):
     """Every process owns one register holding its latest (tag, value).
 
     Write(v) by p: collect all n registers, take the successor of the
-    largest sequence number seen, and publish ((s, p), v) in p's register.
+    largest sequence number seen, modulo MAX_SEQ, and publish ((s, p), v)
+    in p's register.
     Read by p: collect all n registers and return the payload under the
     maximal tag.  Concurrent writers may pick equal sequence numbers; the
     process-id tie-break keeps the tag order total.
@@ -369,8 +381,9 @@ class _MultiWriterProgram(StepProgram):
                 max_seq = seq
             if k < self.n:
                 return ReadAction(k), ("w", k + 1, max_seq, arg)
-            enc = self.codec.encode(max_seq + 1, proc, arg)
-            return WriteAction(proc, enc), ("commit", max_seq + 1)
+            # wrapped as a finite tag field wraps (see MAX_SEQ)
+            seq = (max_seq + 1) % MAX_SEQ
+            return WriteAction(proc, self.codec.encode(seq, proc, arg)), ("commit", seq)
         if phase == "r":
             _, k, best = state
             best = result if best is None else _max_tagged(self.codec, best, result)

@@ -202,7 +202,8 @@ class HLOp:
     ``history.record`` when the op finishes.  It takes no part in equality
     or repr.  An enumeration builds each distinct finish once, record
     included, and every execution of the walk that has the op shares the
-    one object (:meth:`_Sim._finish_op`).
+    one object (:meth:`_Sim._finish_op`), which the walk holds until it
+    returns: within one walk, two ops with the same ``id`` are the same op.
     """
 
     op_id: int

@@ -454,10 +454,17 @@ def count_checks(monkeypatch) -> collections.Counter:
 @pytest.mark.parametrize("name, level", [("multiwriter_atomic", "atomic"),
                                          ("cts_labelings_scan", "cts")])
 def test_checks_reach_the_patched_checker(tmp_path, monkeypatch, name, level):
-    counts = count_checks(monkeypatch)
+    # enumerate judges each distinct leaf once: one check per distinct tuple
+    # of op objects in the walk, while the report counts every leaf
     config = str(SCENARIOS / f"{name}.json")
+    sc = scenario.load_scenario(config)
+    walk = engine.enumerate_executions(scenario.build_protocol(sc), sc.workload)
+    distinct = len({tuple(map(id, e.ops)) for e in walk.executions})
+    counts = count_checks(monkeypatch)
     assert main(["enumerate", "--config", config, "--out", str(tmp_path / "enum")]) == 0
-    assert counts == {level: 8008}
+    assert counts == {level: distinct}
+    report = json.loads((tmp_path / "enum" / "report.json").read_text(encoding="utf-8"))
+    assert report["verdicts"] == {level: {"pass": 8008, "fail": 0}}
     counts.clear()
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
     assert main(["check", str(tmp_path / "sim" / "trace.jsonl"), "--level", level]) == 0
@@ -491,6 +498,24 @@ def test_enumerate_ignores_mode(tmp_path, capsys):
         reports.append(report)
     assert capsys.readouterr().err == ""
     assert reports[0]["executions"] == 8008 and reports[0] == reports[1]
+
+
+def test_enumerate_judges_a_wrapped_tag(tmp_path, monkeypatch, capsys):
+    # With two sequence numbers, process 0's second Write wraps its tag to
+    # (0, 0), below the (1, 0) of its first: a valid scenario whose tag
+    # field runs out is a semantic failure (exit 1) with a counterexample
+    # that re-fails, not an input error (it once exited 2).
+    from regsim import constructions
+
+    monkeypatch.setattr(constructions, "MAX_SEQ", 2)
+    cfg = write_config(tmp_path, workload=[[{"kind": "W", "arg": 1}, {"kind": "W", "arg": 2}],
+                                           [{"kind": "R"}]])
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert (report["executions"], report["verdicts"]) == (1820, {"atomic": {"pass": 1813, "fail": 7}})
+    assert main(["check", str(out / "counterexample.jsonl"), "--level", "atomic"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 # Each of these once ended in a traceback (exit 1) or ran as a truncated

@@ -204,6 +204,30 @@ def test_multiwriter_tag_is_max_seen_plus_one():
     assert (tv.tag, tv.val) == (Tag(6, 0), 7)
 
 
+def test_multiwriter_tag_wraps_after_a_garbage_tag():
+    # Over safe bases, process 0's collect Read of r1 overlaps process 1's
+    # pending base Write and returns 16777215, the largest value of the
+    # register, whose tag holds MAX_SEQ - 1.  The next Write's sequence
+    # number wraps to 0 (it once raised EngineError, an input error, on this
+    # valid scenario); the decisions after the garbage Read take each
+    # node's first choice.
+    import dataclasses
+
+    spec = build_multiwriter(2)
+    spec = dataclasses.replace(spec, registers=tuple(
+        dataclasses.replace(r, semantics=SemanticsLevel.SAFE) for r in spec.registers))
+    garbage = spec.registers[1].domain - 1
+    assert TagCodec(2, 8).seq(garbage) == MAX_SEQ - 1
+    decisions = [(1, None), (1, 0), (1, None), (1, 8), (1, None), (0, None), (0, 0),
+                 (0, None), (0, garbage), (0, None), (0, None), (0, None), (0, 1),
+                 (0, None), (0, 0), (0, None), (0, None), (1, None)]
+    e = run_schedule(spec, [[("Write", 1), ("Write", 2)], [("Write", 3)]], decisions)
+    assert [(op.op_id, op.start, op.end) for op in e.ops] == [(1, 5, 10), (2, 11, 16), (0, 0, 17)]
+    stored = [ev[5] for ev in e.events if ev[2] == "bi" and ev[4] == "W"]
+    assert [TagCodec(2, 8).decode(v) for v in stored] == [
+        ((1, 1), 3), ((0, 0), 1), ((1, 0), 2)]
+
+
 def test_multiwriter_enumerated_executions_atomic():
     spec = build_multiwriter(2)
     wl = [[("Write", 1)], [("Write", 2), ("Read", None)]]
