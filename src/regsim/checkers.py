@@ -13,7 +13,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .history import (
     History,
@@ -21,6 +21,8 @@ from .history import (
     OpKind,
     OpRecord,
     SemanticsLevel,
+    VarSpec,
+    WriteLog,
     read_values,
     read_window,
     slot_init,
@@ -86,8 +88,10 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     :func:`~regsim.history.read_window` call, two bisections that give its
     latest preceding value and the others its level allows, and tests its
     return against that pair without listing, sorting or holding a value
-    set, O(n log n) in all; only a failing Read's message lists the values
-    (:func:`~regsim.history.read_values`).  Atomic searches,
+    set, O(n log n) in all; that loop is :func:`bad_read`, which ``regsim
+    enumerate`` runs on a leaf's own records too.  Only a failing Read's
+    message lists the values (:func:`~regsim.history.read_values`).
+    Atomic searches,
     per variable, for a total order of the operations that extends
     precedence and in which every Read returns the argument of the latest
     preceding Write (or the initial value).  It first walks the completed
@@ -113,22 +117,36 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     _require_single_writer(h, level)
     vars = h.vars
     writes = write_index(h)
+    r = bad_read(vars, writes, h.ops, level)  # h.ops is in start order
+    if r is None:
+        return PASS
+    allowed = read_values(vars[r.var], writes[r.var], r.start, r.end, level)
+    return Verdict(
+        ok=False,
+        violating_op=r.op_id,
+        reason=(
+            f"Read {r.op_id} on {r.var!r} returned {r.ret}, "
+            f"{level.name.lower()} semantics allows {list(allowed)}"
+        ),
+    )
+
+
+def bad_read(vars: Mapping[str, VarSpec], logs: Mapping[str, WriteLog],
+             ops: Iterable[OpRecord], level: SemanticsLevel) -> OpRecord | None:
+    """The first completed Read of ``ops`` whose return
+    :func:`~regsim.history.read_window` does not allow at ``level``, Safe
+    or Regular, on its single-writer variable given that variable's spec
+    and Write log; None if every Read's return is allowed.  This is the one
+    per-Read loop: :func:`check_level` runs it over a history, and
+    ``regsim enumerate`` over a leaf's own records, with no History built."""
     window, R = read_window, OpKind.READ  # local names for the loop over every op
-    for r in h.ops:  # already sorted by start
+    for r in ops:
         if r.kind is not R or r.end is None:
             continue
-        latest, others = window(vars[r.var], writes[r.var], r.start, r.end, level)
+        latest, others = window(vars[r.var], logs[r.var], r.start, r.end, level)
         if r.ret != latest and r.ret not in others:
-            allowed = read_values(vars[r.var], writes[r.var], r.start, r.end, level)
-            return Verdict(
-                ok=False,
-                violating_op=r.op_id,
-                reason=(
-                    f"Read {r.op_id} on {r.var!r} returned {r.ret}, "
-                    f"{level.name.lower()} semantics allows {list(allowed)}"
-                ),
-            )
-    return PASS
+            return r
+    return None
 
 
 def _check_atomic(h: History) -> Verdict:

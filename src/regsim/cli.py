@@ -27,7 +27,7 @@ import sys
 from array import array
 from pathlib import Path
 
-from .checkers import classify
+from .checkers import bad_read, classify
 from .engine import (
     REGISTER,
     EngineError,
@@ -37,7 +37,7 @@ from .engine import (
     max_accesses,
     random_execution,
 )
-from .history import HistoryError, SemanticsLevel, TraceError
+from .history import HistoryError, OpKind, SemanticsLevel, TraceError, write_log
 from .scenario import ScenarioError, build_protocol, load_scenario
 from .timestamp import CTS
 
@@ -62,6 +62,25 @@ def _write_execution_trace(execution: Execution, path: Path) -> None:
     kind = execution.protocol.history
     ext = {"decisions": [[p, v] for p, v in execution.decisions]}
     path.write_text(kind.serialize(kind.extract(execution), ext), encoding="utf-8")
+
+
+def _reads_pass(execution: Execution, level: SemanticsLevel) -> bool:
+    """Does every Read of a register leaf return what ``level``, safe or
+    regular, allows?  Safe and regular are per-Read conditions, so this is
+    judged from the leaf's own records, with no History built: they go
+    through :func:`~regsim.checkers.bad_read`, the loop ``check_level``
+    runs, against a Write log of the leaf's Writes, which finish in start
+    order since there is one writer."""
+    spec = execution.protocol
+    records = [op.record for op in execution.ops]
+    ends, starts, values = log = write_log(spec.init)
+    write = OpKind.WRITE
+    for w in records:
+        if w.kind is write:
+            ends.append(w.end)
+            starts.append(w.start)
+            values.append(w.arg)
+    return bad_read(spec._high_vars, {spec.var_name: log}, records, level) is None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -89,9 +108,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ScenarioError(f"--check {level} does not apply to the {spec.name} construction "
                             f"(levels: {', '.join(kind.levels)})")
     sem = kind.levels[level]
+    per_read = sem in (SemanticsLevel.SAFE, SemanticsLevel.REGULAR)
     # Safe and regular are defined for one writer only: a multi-writer
     # construction is refused at those levels here, not at the first check.
-    if sem in (SemanticsLevel.SAFE, SemanticsLevel.REGULAR) and len(spec.writers) > 1:
+    if per_read and len(spec.writers) > 1:
         raise ScenarioError(
             f"{level} classification is undefined on the multi-writer "
             f"{spec.name} construction; use --check atomic"
@@ -115,10 +135,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     accesses: dict[str, int] = {}
 
     def judge(execution: Execution) -> str:
-        """Judges one leaf in full, tallies it and returns its outcome,
-        ``"pass"`` or ``"fail"`` (never False, so the walk goes on)."""
+        """Judges one leaf, tallies it and returns its outcome, ``"pass"``
+        or ``"fail"`` (never False, so the walk goes on).  At safe and
+        regular the leaf is judged from its own records, and a passing leaf
+        is never projected: only the first failing leaf is projected and
+        checked in full, for its op and reason."""
         nonlocal first_failure, counterexample
         max_accesses((execution,), accesses)
+        if per_read:
+            ok = _reads_pass(execution, sem)
+            if ok or counterexample is not None:
+                outcome = "pass" if ok else "fail"
+                counts[outcome] += 1
+                return outcome
         verdict = check(extract(execution), sem)
         outcome = "pass" if verdict.ok else "fail"
         counts[outcome] += 1

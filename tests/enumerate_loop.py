@@ -3,7 +3,8 @@ kept as a reference.
 
 ``cmd_enumerate`` is ``regsim.cli.cmd_enumerate`` from before its visitor
 kept a table of verdicts by the leaf's op identities, kept verbatim so that
-the differential tests can require the table to leave ``report.json`` and
+the differential tests can require the table, and the judging of safe and
+regular leaves from their own records, to leave ``report.json`` and
 ``counterexample.jsonl`` byte for byte as they were.  It extracts and
 checks every leaf the walk visits.  Run it on arguments parsed by
 ``regsim.cli``'s own parser.

@@ -471,6 +471,31 @@ def test_checks_reach_the_patched_checker(tmp_path, monkeypatch, name, level):
     assert counts == {level: 1}
 
 
+@pytest.mark.parametrize("name, code, verdicts, checks, projections", [
+    pytest.param("regular_bit_inversion", 0, {"pass": 16258, "fail": 0}, {}, 0,
+                 id="regular_bit_inversion"),
+    pytest.param("safe_bit_adversary", 1, {"pass": 6, "fail": 4}, {"regular": 1}, 2,
+                 id="safe_bit_adversary"),
+])
+def test_a_passing_leaf_is_not_projected(tmp_path, monkeypatch, name, code, verdicts, checks,
+                                         projections):
+    # at regular a leaf is judged from its own records: only the first
+    # failing leaf is projected and checked in full, and projected once
+    # more for its counterexample trace
+    counts = count_checks(monkeypatch)
+    extract = engine.extract_history
+    calls = []
+    monkeypatch.setattr(engine, "extract_history",
+                        lambda *args: calls.append(1) or extract(*args))
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--config", str(SCENARIOS / f"{name}.json"), "--check", "regular",
+                 "--out", str(out)]) == code
+    assert counts == checks
+    assert len(calls) == projections
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["verdicts"] == {"regular": verdicts}
+
+
 @pytest.mark.parametrize("base_semantics", ["atomic", "regular"])
 @pytest.mark.parametrize("level", ["safe", "regular"])
 def test_enumerate_multiwriter_below_atomic_exit_two(tmp_path, capsys, base_semantics, level):

@@ -34,9 +34,11 @@ from regsim import (
     feasible_values,
     random_execution,
 )
-from regsim import engine, history, timestamp
-from regsim.engine import SCOPE_BASE, _Sim
+from regsim import cli, engine, history, timestamp
+from regsim.checkers import bad_read
+from regsim.engine import SCOPE_BASE, _Sim, enumerate_executions
 from regsim.history import PENDING_END, read_values, read_window, write_index
+from regsim.scenario import build_protocol
 
 import read_scan
 from histgen import engine_history, histories, tree_histories
@@ -147,6 +149,46 @@ def test_read_window_is_membership_on_every_bench_leaf(name, scope):
     hs = tree_histories(WORKLOADS[name][0], scope)
     assert len(hs) == {"regular_bit": 16258, "raw_safe": 8330}[name]
     assert sum(assert_membership_alike(h) for h in hs) > 0
+
+
+PER_READ = pytest.mark.parametrize("level", [SemanticsLevel.SAFE, SemanticsLevel.REGULAR],
+                                   ids=["safe", "regular"])
+
+
+@PER_READ
+@PINNED
+@given(histories(single_writer=True))
+def test_bad_read_is_check_level(level, h):
+    # the one per-Read loop answers check_level and the per-Read rescan on
+    # every history, whatever the order of the ops it is given: a leaf
+    # gives them in finish order, a History in start order
+    ok = check_level(h, level).ok
+    assert ok == read_scan.check_per_read(h, level).ok
+    writes = write_index(h)
+    for ops in (h.ops, h.ops[::-1], sorted(h.ops, key=lambda o: (o.end is None, o.end))):
+        assert (bad_read(h.vars, writes, ops, level) is None) == ok
+
+
+@PER_READ
+@pytest.mark.parametrize("name", ["regular_bit", "raw_safe"])
+def test_leaf_read_judge_is_check_level_on_every_bench_leaf(name, level):
+    # enumerate's judge of a leaf from its own records, against a Write log
+    # of its Writes in finish order, answers check_level and the per-Read
+    # rescan of the leaf's projection, on every leaf of the tree
+    sc = WORKLOADS[name][0]
+    executions = enumerate_executions(build_protocol(sc), sc.workload).executions
+    assert len(executions) == {"regular_bit": 16258, "raw_safe": 8330}[name]
+    passed = 0
+    for e in executions:
+        h = extract_history(e)
+        ok = check_level(h, level).ok
+        assert ok == read_scan.check_per_read(h, level).ok
+        assert cli._reads_pass(e, level) == ok
+        passed += ok
+    # raw_safe fails regular on most leaves: both answers are exercised
+    expected = {"regular_bit": {"SAFE": 16258, "REGULAR": 16258},
+                "raw_safe": {"SAFE": 8330, "REGULAR": 838}}
+    assert passed == expected[name][level.name]
 
 
 #: Walks whose base registers are atomic (multireader), safe bits read by
