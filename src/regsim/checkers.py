@@ -97,13 +97,12 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
     preceding Write (or the initial value).  It first walks the completed
     ops in end order, the search's own first descent, and returns that
     order if every Read in it returns the current value, with no search
-    state built (a third to a half of the leaves of the benchmark's
-    multiwriter and multireader trees end there).  Otherwise the search
-    resumes from the prefix before the first Read that blocks: it extends
-    partial sequences only while the read-value constraints remain
-    satisfiable, remembers failed (placed set, current value) states and
-    runs on an explicit stack, at worst about 2^n * n states for n ops on a
-    variable rather than n! orders, and no depth limit.  Each node scans
+    state built.  Otherwise the search resumes from the prefix before the
+    first Read that blocks: it extends partial sequences only while the
+    read-value constraints remain satisfiable, remembers failed (placed
+    set, current value) states and runs on an explicit stack, at worst
+    about 2^n * n states for n ops on a variable rather than n! orders,
+    and no depth limit.  Each node scans
     only as far as the last op that starts before the lowest unplaced op
     ends, so where few ops overlap a search that never backtracks costs
     O(n log n).  Where Writes start after the same ops end, each waits
@@ -116,8 +115,8 @@ def check_level(h: History, level: SemanticsLevel) -> Verdict:
         return _check_atomic(h)
     _require_single_writer(h, level)
     vars = h.vars
-    writes = write_index(h)
-    r = bad_read(vars, writes, h.ops, level)  # h.ops is in start order
+    writes = write_index(vars, h.ops)
+    r = bad_read(vars, writes, h.ops, level)
     if r is None:
         return PASS
     allowed = read_values(vars[r.var], writes[r.var], r.start, r.end, level)
@@ -151,19 +150,14 @@ def bad_read(vars: Mapping[str, VarSpec], logs: Mapping[str, WriteLog],
 
 def _check_atomic(h: History) -> Verdict:
     vars = h.vars
-    if len(vars) == 1 and h.ops:  # every op is on the one variable
-        (var,) = vars
-        found, witness = _linearize_var(h, var)
-        if found is None:
-            return _unplaceable(var, witness)
-        return Verdict(True, None, None, {var: found})
     lins: dict[str, tuple[int, ...]] = {}
-    for var in sorted({op.var for op in h.ops}):
+    # one variable with ops: every op is on it, so no touched set is built
+    for var in vars if len(vars) == 1 and h.ops else sorted({op.var for op in h.ops}):
         found, witness = _linearize_var(h, var)
         if found is None:
             return _unplaceable(var, witness)
         lins[var] = found
-    return Verdict(ok=True, linearizations=lins)
+    return Verdict(True, None, None, lins)
 
 
 def _unplaceable(var: str, witness: OpRecord | None) -> Verdict:

@@ -37,7 +37,7 @@ from .engine import (
     max_accesses,
     random_execution,
 )
-from .history import HistoryError, OpKind, SemanticsLevel, TraceError, write_log
+from .history import HistoryError, SemanticsLevel, TraceError, write_index
 from .scenario import ScenarioError, build_protocol, load_scenario
 from .timestamp import CTS
 
@@ -62,25 +62,6 @@ def _write_execution_trace(execution: Execution, path: Path) -> None:
     kind = execution.protocol.history
     ext = {"decisions": [[p, v] for p, v in execution.decisions]}
     path.write_text(kind.serialize(kind.extract(execution), ext), encoding="utf-8")
-
-
-def _reads_pass(execution: Execution, level: SemanticsLevel) -> bool:
-    """Does every Read of a register leaf return what ``level``, safe or
-    regular, allows?  Safe and regular are per-Read conditions, so this is
-    judged from the leaf's own records, with no History built: they go
-    through :func:`~regsim.checkers.bad_read`, the loop ``check_level``
-    runs, against a Write log of the leaf's Writes, which finish in start
-    order since there is one writer."""
-    spec = execution.protocol
-    records = [op.record for op in execution.ops]
-    ends, starts, values = log = write_log(spec.init)
-    write = OpKind.WRITE
-    for w in records:
-        if w.kind is write:
-            ends.append(w.end)
-            starts.append(w.start)
-            values.append(w.arg)
-    return bad_read(spec._high_vars, {spec.var_name: log}, records, level) is None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -117,6 +98,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"{spec.name} construction; use --check atomic"
         )
     extract, check = kind.extract, kind.check
+    vars = spec._high_vars if per_read else None
 
     limits = dict(sc.limits)
     if args.max_executions is not None:
@@ -143,7 +125,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         nonlocal first_failure, counterexample
         max_accesses((execution,), accesses)
         if per_read:
-            ok = _reads_pass(execution, sem)
+            records = [op.record for op in execution.ops]
+            ok = bad_read(vars, write_index(vars, records), records, sem) is None
             if ok or counterexample is not None:
                 outcome = "pass" if ok else "fail"
                 counts[outcome] += 1

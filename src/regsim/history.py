@@ -301,7 +301,7 @@ def feasible_values(h: History, r: OpRecord, level: SemanticsLevel) -> set[int]:
     spec = h.vars[r.var]
     if len(spec.writers) > 1:
         raise HistoryError(f"var {r.var!r}: classification undefined, use Atomic")
-    return set(read_values(spec, write_index(h)[r.var], r.start, r.end, level))
+    return set(read_values(spec, write_index(h.vars, h.ops)[r.var], r.start, r.end, level))
 
 
 #: A pending Write's end in every Write log: always this one object, so
@@ -318,20 +318,23 @@ def write_log(init: int) -> WriteLog:
     return [-1], [-2], [init]
 
 
-def write_index(h: History) -> dict[str, WriteLog]:
-    """Per declared variable, its Write log: ``(ends, starts, args)`` lists
-    in start order, the first entry its :func:`write_log` seed, then each of
-    its Writes (a pending Write's end :data:`PENDING_END`), in one pass over
-    the history.
+def write_index(vars: Mapping[str, VarSpec], ops: Iterable[OpRecord]) -> dict[str, WriteLog]:
+    """Per variable of ``vars``, its Write log: ``(ends, starts, args)``
+    lists, the first entry its :func:`write_log` seed, then each of its
+    Writes in the order of ``ops`` (a pending Write's end
+    :data:`PENDING_END`), in one pass.
 
-    This is the one Write-log format: the engine keeps each base register's
-    Writes in it as they happen, and :func:`read_window` reads it for both.
-    A single writer's Writes are totally ordered, so on a single-writer
-    variable the ends come out sorted as well as the starts.
+    This is the one builder of a Write log from records, in the one
+    Write-log format: the engine keeps each base register's Writes in it as
+    they happen, and :func:`read_window` reads it for both.  ``ops`` must
+    give each variable's Writes in start order.  A History's ops do, and on
+    single-writer variables so do ops in finish order, as an execution
+    gives them: one writer's Writes are totally ordered, so their finish
+    order is their start order, and their ends come out sorted as well.
     """
-    index = {name: write_log(spec.init) for name, spec in h.vars.items()}
+    index = {name: write_log(spec.init) for name, spec in vars.items()}
     W = OpKind.WRITE  # a local name for the test on every op
-    for w in h.ops:
+    for w in ops:
         if w.kind is W:
             ends, starts, args = index[w.var]
             ends.append(PENDING_END if w.end is None else w.end)

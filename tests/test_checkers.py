@@ -142,6 +142,13 @@ def test_atomic_pass_returns_verifiable_linearization():
             completed = {o.op_id for o in h.ops if o.var == name and o.completed}
             assert completed <= set(seq)
     assert checked > 100
+    # a witness per variable some op touches, and none for the others
+    untouched = History(vars={"x": var()}, ops=())
+    assert check_level(untouched, SemanticsLevel.ATOMIC).linearizations == {}
+    only_y = History(vars={"x": var(), "y": var()},
+                     ops=(OpRecord(0, 0, "y", OpKind.WRITE, 0, 1, arg=2),
+                          OpRecord(1, 1, "y", OpKind.READ, 2, 3, ret=2)))
+    assert check_level(only_y, SemanticsLevel.ATOMIC).linearizations == {"y": (0, 1)}
 
 
 def test_multiwriter_safe_regular_classification_errors():

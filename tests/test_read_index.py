@@ -34,7 +34,7 @@ from regsim import (
     feasible_values,
     random_execution,
 )
-from regsim import cli, engine, history, timestamp
+from regsim import engine, history, timestamp
 from regsim.checkers import bad_read
 from regsim.engine import SCOPE_BASE, _Sim, enumerate_executions
 from regsim.history import PENDING_END, read_values, read_window, write_index
@@ -124,7 +124,7 @@ def assert_membership_alike(h: History) -> int:
     safe and at regular, ``read_window``'s rule, ``value == latest or value
     in others``, answers ``value in read_values``.  Returns the number of
     Reads."""
-    writes, reads = write_index(h), 0
+    writes, reads = write_index(h.vars, h.ops), 0
     for r in h.ops:
         if r.kind is OpKind.READ and r.end is not None:
             reads += 1
@@ -164,16 +164,20 @@ def test_bad_read_is_check_level(level, h):
     # gives them in finish order, a History in start order
     ok = check_level(h, level).ok
     assert ok == read_scan.check_per_read(h, level).ok
-    writes = write_index(h)
-    for ops in (h.ops, h.ops[::-1], sorted(h.ops, key=lambda o: (o.end is None, o.end))):
+    writes = write_index(h.vars, h.ops)
+    finish_order = sorted(h.ops, key=lambda o: (o.end is None, o.end))
+    for ops in (h.ops, h.ops[::-1], finish_order):
         assert (bad_read(h.vars, writes, ops, level) is None) == ok
+    # one writer per variable: its Writes in finish order are in start
+    # order, so a leaf's records, as the leaf gives them, index alike
+    assert write_index(h.vars, finish_order) == writes
 
 
 @PER_READ
 @pytest.mark.parametrize("name", ["regular_bit", "raw_safe"])
 def test_leaf_read_judge_is_check_level_on_every_bench_leaf(name, level):
-    # enumerate's judge of a leaf from its own records, against a Write log
-    # of its Writes in finish order, answers check_level and the per-Read
+    # enumerate's judge of a leaf from its own records, in finish order,
+    # the two calls check_level makes, answers check_level and the per-Read
     # rescan of the leaf's projection, on every leaf of the tree
     sc = WORKLOADS[name][0]
     executions = enumerate_executions(build_protocol(sc), sc.workload).executions
@@ -183,7 +187,8 @@ def test_leaf_read_judge_is_check_level_on_every_bench_leaf(name, level):
         h = extract_history(e)
         ok = check_level(h, level).ok
         assert ok == read_scan.check_per_read(h, level).ok
-        assert cli._reads_pass(e, level) == ok
+        vars, records = e.protocol._high_vars, [op.record for op in e.ops]
+        assert (bad_read(vars, write_index(vars, records), records, level) is None) == ok
         passed += ok
     # raw_safe fails regular on most leaves: both answers are exercised
     expected = {"regular_bit": {"SAFE": 16258, "REGULAR": 16258},
@@ -204,7 +209,8 @@ WALKS = {
 
 
 def assert_engine_logs_indexed(sim: _Sim) -> None:
-    index = write_index(extract_history(sim.snapshot(), SCOPE_BASE))
+    h = extract_history(sim.snapshot(), SCOPE_BASE)
+    index = write_index(h.vars, h.ops)
     for reg, log in zip(sim.regs, sim.reg_writes):
         assert log == index[reg.name]
         assert [end is PENDING_END for end in log[0]] == [
@@ -242,13 +248,13 @@ SPEC = VarSpec(domain=4, init=3, writers=frozenset({0}), readers=frozenset({1}))
 def test_a_variable_with_no_writes_has_the_seeded_log():
     h = History(vars={"x": SPEC, "y": dataclasses.replace(SPEC, init=1)},
                 ops=(read_op(0, 0, 1, 3),))
-    assert write_index(h) == {"x": ([-1], [-2], [3]), "y": ([-1], [-2], [1])}
+    assert write_index(h.vars, h.ops) == {"x": ([-1], [-2], [3]), "y": ([-1], [-2], [1])}
 
 
 def test_a_pending_writes_end_is_the_one_shared_object():
     h = History(vars={"x": SPEC}, ops=(write_op(0, 0, 1, 1), write_op(1, 2, None, 2)))
-    assert write_index(h)["x"] == ([-1, 1, PENDING_END], [-2, 0, 2], [3, 1, 2])
-    assert write_index(h)["x"][0][2] is PENDING_END
+    assert write_index(h.vars, h.ops)["x"] == ([-1, 1, PENDING_END], [-2, 0, 2], [3, 1, 2])
+    assert write_index(h.vars, h.ops)["x"][0][2] is PENDING_END
     assert engine.PENDING_END is history.PENDING_END is timestamp.PENDING_END
     spec, workload = WALKS["raw_safe"]
     sim = _Sim(spec, workload)
@@ -263,7 +269,7 @@ def test_a_read_before_every_write_ends_reads_the_initial_value(level):
     # starts before it ends: both have the initial value as their latest.
     h = History(vars={"x": SPEC}, ops=(
         write_op(0, 2, 5, 1), read_op(1, 0, 1, 3), read_op(2, 3, 6, 1)))
-    log = write_index(h)["x"]
+    log = write_index(h.vars, h.ops)["x"]
     assert read_window(SPEC, log, 0, 1, level) == (3, ())
     overlapping = range(4) if level is SemanticsLevel.SAFE else [1]
     assert read_window(SPEC, log, 3, 6, level) == (3, overlapping)
