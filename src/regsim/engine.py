@@ -92,6 +92,13 @@ class StepProgram:
     immutable continuation.  The engine threads ``state`` back into
     ``resume`` together with the base Read result (None after a Write).
     Persistent per-process memory is replaced only by ``ReturnAction``.
+
+    ``begin`` and ``resume`` must be deterministic in their arguments up
+    to exact equality: two calls whose arguments are equal and of the same
+    type at every depth return equal actions and states.
+    :func:`enumerate_executions` relies on it to walk a tail that one
+    process runs alone only once.  ``mem`` and ``state`` should be
+    hashable; where one is not, such a tail is walked step by step.
     """
 
     def initial_memory(self, proc: int) -> object:
@@ -301,19 +308,21 @@ class _Choices(Sequence):
 _IDLE, _DONE, _PENDING_INVOKE, _MID, _AWAIT, _ENDING = range(6)
 
 
-def _ret_key(ret: object) -> object:
-    """A hashable key of an op's return, equal for two returns only when
-    they are the same type at every depth and equal: an exact int or None
-    as itself, a plain tuple by its items' keys, anything else by identity
-    (the walk's table keeps the object alive in its HLOp, so no other
+def _exact_key(value: object) -> object:
+    """A hashable key of an op's return, or of a process's memory, state or
+    action, equal for two values only when they are the same type at every
+    depth and equal: an exact int, str or None as itself, a plain tuple or
+    one of the engine's actions by its type and its items' keys, anything
+    else by identity (the walk's tables keep the object alive, so no other
     object takes its id).  ``1``, ``True`` and ``1.0`` compare equal and
-    hash alike, and ``[1]`` cannot be hashed, so none of them is keyed as
-    itself."""
-    if type(ret) is int or ret is None:
-        return ret
-    if type(ret) is tuple:
-        return (tuple, *map(_ret_key, ret))
-    return (id, id(ret))
+    hash alike, ``ReadAction(0)`` equals ``(0,)``, and ``[1]`` cannot be
+    hashed, so none of them is keyed as itself."""
+    t = type(value)
+    if t is int or t is str or value is None:
+        return value
+    if t is tuple or t is ReadAction or t is WriteAction or t is ReturnAction:
+        return (t, *map(_exact_key, value))
+    return (id, id(value))
 
 
 class _Proc:
@@ -390,6 +399,11 @@ class _Sim:
         # Registers whose base Reads the adversary answers.
         self.weak = [r.semantics is not SemanticsLevel.ATOMIC for r in self.regs]
         self.step_choice = [(proc, None) for proc in range(spec.n_processes)]
+        # Per process, the registers it may read, and its last tail_key's
+        # memory, state, action and their keys.
+        self.readable = [[i for i, r in enumerate(self.regs) if proc in r.readers]
+                         for proc in range(spec.n_processes)]
+        self.last_keyed: list[tuple | None] = [None] * spec.n_processes
 
     # -- decision surface ---------------------------------------------------
 
@@ -551,13 +565,13 @@ class _Sim:
         a table, each distinct finish is built once per walk and then
         shared: it maps a finish's key to its HLOp, record included.  The
         key holds everything the two depend on (``proc`` and ``opidx`` fix
-        the kind and arg), the return by :func:`_ret_key`, so a hit is the
+        the kind and arg), the return by :func:`_exact_key`, so a hit is the
         object a miss would build.  A single run has no table: no two of its
         finishes share a uid, so it builds each op directly."""
         uid, ret, start, opidx, acc = p.uid, action.value, p.first, p.opidx, p.acc
         finished, op = self.finished, None
         if finished is not None:
-            key = (uid, proc, opidx, start, step, acc, _ret_key(ret))
+            key = (uid, proc, opidx, start, step, acc, _exact_key(ret))
             op = finished.get(key)
         if op is None:
             kind, arg = self.workload[proc][opidx]
@@ -598,6 +612,41 @@ class _Sim:
             ops=tuple(self.hlops),
             decisions=tuple(self.decisions),
         )
+
+    def tail_key(self, proc: int) -> tuple[tuple, tuple] | None:
+        """``(key, held)`` of the tail from this node, where ``proc`` is the
+        one process not ``_DONE`` and does not await the adversary: the
+        branch is forced, and every base Read it makes overlaps no Write, so
+        it reads its register's last value.  ``key`` holds everything the
+        tail's events, finishes and decisions depend on: ``proc``, its
+        fields but ``binv`` (its memory, state and action by
+        :func:`_exact_key`), the step, and the last value of each register
+        ``proc`` may read.  The next uid follows from ``proc``'s phase and
+        op index, since every other process has begun all its ops.
+        ``held`` holds the objects keyed, which a table must keep alive.
+        None where the memory, state or action cannot be hashed: such a
+        tail is walked step by step.
+
+        Tails that the walk reaches one after another often start from the
+        same memory, state and action objects of ``proc``, so their keys are
+        kept from its last call (``last_keyed``) and reused while the
+        objects are the same."""
+        p = self.procs[proc]
+        mem, state, action = p.mem, p.state, p.action
+        last = self.last_keyed[proc]
+        if last is not None and last[0] is mem and last[1] is state and last[2] is action:
+            keys = last[3]
+        else:
+            try:
+                hash((mem, state, action))
+            except TypeError:
+                return None
+            keys = (_exact_key(mem), _exact_key(state), _exact_key(action))
+            self.last_keyed[proc] = (mem, state, action, keys)
+        logs = self.reg_writes
+        values = [logs[i][2][-1] for i in self.readable[proc]]
+        return ((proc, p.phase, p.opidx, p.first, p.acc, p.uid, self.step, keys,
+                 *map(_exact_key, values)), (mem, state, action, *values))
 
 
 def run_schedule(spec: ProtocolSpec, workload: Workload, decisions: Iterable[Decision]) -> Execution:
@@ -647,6 +696,16 @@ def enumerate_executions(
     early).  ``limits`` may bound ``max_executions`` (tree is flagged
     truncated when more leaves exist) and ``max_steps`` (branches longer
     than this are cut and flagged); each limit is an int of at least 1.
+
+    Where one process is left and does not await the adversary, the rest of
+    the branch is forced: a tail with one leaf.  The walk steps through
+    each distinct tail once (:meth:`_Sim.tail_key`) and joins the stored
+    events, ops and decisions to the branch wherever the tail comes again.
+    So the program must keep :class:`StepProgram`'s contract: ``begin`` and
+    ``resume`` deterministic up to exact equality.  Every leaf is still
+    visited once, in depth-first order, equal to the one a step-by-step
+    walk builds and holding the walk's own ops; a tail a limit cuts or an
+    error ends is stored nowhere.
     """
     max_exec, max_steps = enumeration_limits(limits)
     result = EnumerationResult()
@@ -655,6 +714,11 @@ def enumerate_executions(
     sim = _Sim(spec, workload)
     sim.finished = {}  # executions of one walk share their ops
     apply, undo, choices_of = sim.apply, sim.undo, sim.choices
+    # Each walked tail's (events, ops, decisions, held objects) by its key.
+    tails: dict[tuple, tuple] = {}
+    # The tail being walked: (key, held, start step, ops before it); False
+    # where it cannot be keyed, None outside a tail.
+    tail = None
 
     # One [iterator over the node's remaining choices, undo token of the
     # applied one] frame per node on the current branch, so the depth is
@@ -662,27 +726,48 @@ def enumerate_executions(
     stack: list[list] = []
     choices = choices_of()
     while True:
+        execution = None
         if not choices:
+            execution = sim.snapshot()
+            if tail:
+                key, held, start, n_ops = tail
+                tails[key] = (execution.events[start:], execution.ops[n_ops:],
+                              execution.decisions[start:], held)
+        elif sim.step >= max_steps:
+            cut_steps = True  # cut this branch, keep exploring siblings
+        else:
+            stored = None
+            if tail is None and type(choices) is list and len(choices) == 1:
+                keyed = sim.tail_key(choices[0][0])
+                tail = False
+                if keyed is not None:
+                    stored = tails.get(keyed[0])
+                    if stored is None:
+                        tail = (*keyed, sim.step, len(sim.hlops))
+            if stored is None:
+                # Descend into the node's first child.
+                rest = iter(choices)
+                stack.append([rest, apply(*next(rest))])
+                choices = choices_of()
+                continue
+            # The tail is stored, so it ended within max_steps from this
+            # step, which its key holds: join it to the branch.
+            events, ops, decisions, _ = stored
+            execution = Execution(spec, tuple(sim.events) + events, tuple(sim.hlops) + ops,
+                                  tuple(sim.decisions) + decisions)
+        if execution is not None:
             if result.count >= max_exec:
                 cut_executions = True
                 break
             result.count += 1
-            execution = sim.snapshot()
             if visit is None:
                 collected.append(execution)
             elif visit(execution) is False:
                 result.stopped = True
                 break
-        elif sim.step >= max_steps:
-            cut_steps = True  # cut this branch, keep exploring siblings
-        else:
-            # Descend into the node's first child.
-            rest = iter(choices)
-            stack.append([rest, apply(*next(rest))])
-            choices = choices_of()
-            continue
         # Step to the next unexplored sibling, backtracking past exhausted
-        # nodes.
+        # nodes: a tail's nodes have none, so this leaves any tail.
+        tail = None
         while stack:
             frame = stack[-1]
             undo(frame[1])

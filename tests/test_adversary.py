@@ -7,7 +7,9 @@ catch an adversary that is too weak or too strong, and this test judges it
 by ``read_scan.feasible_values`` instead, the per-Read rescan kept outside
 ``regsim``, at every node of whole decision trees where the adversary has a
 say.  At every node of the same trees, ``_Sim.check`` must refuse exactly
-the decisions ``_Sim.choices`` does not list.
+the decisions ``_Sim.choices`` does not list.  Both walk the trees by
+``plain_walk``'s recursion, which reaches every node by stepping, and count
+the nodes they judged.
 """
 
 import dataclasses
@@ -18,7 +20,10 @@ from read_scan import feasible_values
 from regsim import OpKind, OpRecord, SemanticsLevel, enumerate_executions, extract_history
 from regsim.constructions import (build_multireader, build_multiwriter, build_raw_register,
                                   build_regular_bit)
-from regsim.engine import SCOPE_BASE, InvalidDecision, _Sim
+from regsim.engine import (DEFAULT_MAX_EXECUTIONS, DEFAULT_MAX_STEPS, SCOPE_BASE, InvalidDecision,
+                           _Sim, enumeration_limits)
+
+from plain_walk import recursive_enumeration
 
 SAFE, REGULAR = SemanticsLevel.SAFE, SemanticsLevel.REGULAR
 
@@ -39,6 +44,26 @@ TREES = {
     "multiwriter_regular": (with_bases(build_multiwriter(2), REGULAR),
                             [[("Write", 1)], [("Write", 2), ("Read", None)]]),
 }
+
+
+def node_count(spec, workload, max_exec=DEFAULT_MAX_EXECUTIONS):
+    """The nodes a walk of the tree visits until it has ``max_exec`` leaves
+    and has found the next, if any: the prefixes of those leaves' decision
+    sequences, each leaf's whole sequence and the empty one included."""
+    leaves = enumerate_executions(spec, workload, {"max_executions": max_exec + 1}).executions
+    return len({e.decisions[:i] for e in leaves for i in range(len(e.decisions) + 1)})
+
+
+def awaiting_count(spec, workload):
+    """Over the nodes of the whole tree, the number of processes each lets
+    the adversary answer: those with a child decision that carries a
+    value."""
+    awaiting = set()
+    for e in enumerate_executions(spec, workload).executions:
+        for i, (proc, value) in enumerate(e.decisions):
+            if value is not None:
+                awaiting.add((e.decisions[:i], proc))
+    return len(awaiting)
 
 
 @pytest.mark.parametrize("name", TREES)
@@ -63,9 +88,14 @@ def test_adversary_offers_exactly_the_reference_values(name, monkeypatch):
         checked.append(len(offered))
         return offered
 
+    # The plain recursive walk reaches every node by stepping, where the
+    # engine's walk joins stored tails: every awaiting Read is checked.
     monkeypatch.setattr(_Sim, "feasible", feasible)
-    res = enumerate_executions(spec, workload)
-    assert not res.truncated and res.count == len(res.executions)
+    _, truncated, _ = recursive_enumeration(spec, workload, DEFAULT_MAX_EXECUTIONS,
+                                            DEFAULT_MAX_STEPS)
+    monkeypatch.undo()
+    assert not truncated
+    assert len(checked) == awaiting_count(spec, workload)
     # The trees hold Reads that overlap no Write and Reads that do.
     assert min(checked) == 1 and max(checked) > 1
 
@@ -104,10 +134,13 @@ def probes(n_processes, listed):
 @pytest.mark.parametrize("name", SURFACES)
 def test_check_refuses_exactly_what_choices_does_not_list(name, monkeypatch):
     spec, workload, limits = SURFACES[name]
+    max_exec, max_steps = enumeration_limits(limits)
     choices = _Sim.choices
     seen = {True: 0, False: 0}
+    nodes = [0]
 
     def checked_choices(sim):
+        nodes[0] += 1
         listed = list(choices(sim))
         exact = set(listed)  # exact ints and None only, so no two merge
         for proc, value in probes(spec.n_processes, listed):
@@ -122,7 +155,11 @@ def test_check_refuses_exactly_what_choices_does_not_list(name, monkeypatch):
             seen[valid] += 1
         return listed
 
+    # The plain recursive walk calls choices once at every node, where the
+    # engine's walk joins stored tails: every node of the tree is checked.
     monkeypatch.setattr(_Sim, "choices", checked_choices)
-    res = enumerate_executions(spec, workload, limits, visit=lambda execution: None)
-    assert res.truncated is (limits is not None)
+    _, truncated, _ = recursive_enumeration(spec, workload, max_exec, max_steps)
+    monkeypatch.undo()
+    assert truncated is (limits is not None)
+    assert nodes[0] == node_count(spec, workload, max_exec)
     assert seen[True] and seen[False]

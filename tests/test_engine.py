@@ -2,6 +2,8 @@ import dataclasses
 import math
 import re
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,8 +33,16 @@ from regsim.engine import (
     StepProgram,
     WriteAction,
     _Sim,
+    enumeration_limits,
     max_accesses,
 )
+from regsim.scenario import build_protocol, load_scenario, scenario_from_dict
+
+from plain_walk import plain_leaves, recursive_enumeration
+from test_leaf_verdicts import reread_protocol
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def atomic_bit(n_readers=1):
@@ -401,38 +411,6 @@ def test_safe_domain_beyond_sys_maxsize_walked_lazily():
     assert [x.decisions[-1] for x in result.executions[1:]] == [(1, v) for v in range(4)]
 
 
-def recursive_enumeration(spec, workload, max_exec, max_steps, stop_after=None):
-    """The decision tree walked by plain recursion, as the engine once did:
-    (decision sequences in visit order, truncated, stopped)."""
-    sim = _Sim(spec, workload)
-    seen, flags = [], {"truncated": False, "stopped": False}
-
-    def dfs():
-        choices = sim.choices()
-        if not choices:
-            if len(seen) >= max_exec:
-                flags["truncated"] = True
-                return False
-            seen.append(tuple(sim.decisions))
-            if len(seen) == stop_after:
-                flags["stopped"] = True
-                return False
-            return True
-        if sim.step >= max_steps:
-            flags["truncated"] = True
-            return True
-        for proc, value in choices:
-            token = sim.apply(proc, value)
-            alive = dfs()
-            sim.undo(token)
-            if not alive:
-                return False
-        return True
-
-    dfs()
-    return seen, flags["truncated"], flags["stopped"]
-
-
 @pytest.mark.parametrize("max_exec, max_steps, stop_after", [
     (10**6, 10**4, None),  # the whole tree
     (37, 10**4, None),  # cut by max_executions
@@ -445,7 +423,7 @@ def test_enumeration_order_matches_recursive_walk(max_exec, max_steps, stop_afte
     seen = []
 
     def visit(e):
-        seen.append(e.decisions)
+        seen.append(e)
         return len(seen) != stop_after
 
     res = enumerate_executions(spec, wl, {"max_executions": max_exec, "max_steps": max_steps},
@@ -453,6 +431,253 @@ def test_enumeration_order_matches_recursive_walk(max_exec, max_steps, stop_afte
     expected, truncated, stopped = recursive_enumeration(spec, wl, max_exec, max_steps, stop_after)
     assert seen == expected and res.count == len(expected)
     assert (res.truncated, res.stopped) == (truncated, stopped)
+
+
+# -- stored tails: the walk against the plain recursive walk -------------------
+
+
+def finish_keys(e):
+    """What each op of ``e`` is built from, in ``e.ops`` order: its index
+    among its process's ops and its fields, the return by type and repr."""
+    opidx, keys = {}, {}
+    for op in sorted(e.ops, key=lambda op: op.op_id):
+        opidx[op.proc] = opidx.get(op.proc, -1) + 1
+        keys[op.op_id] = (opidx[op.proc], op.op_id, op.proc, op.kind, op.arg, type(op.ret),
+                          repr(op.ret), op.start, op.end, op.base_accesses)
+    return [keys[op.op_id] for op in e.ops]
+
+
+def assert_walk_is_plain(spec, workload, limits=None, stop_after=None, replay_every=97):
+    """Walk the tree by ``enumerate_executions`` and by plain recursion side
+    by side: the same leaves in the same order, equal field for field and
+    record for record, each return of the same type; within the walk, equal
+    finishes are one HLOp object; every ``replay_every``-th leaf is the
+    replay of its decisions; and the same count and flags.  An EngineError
+    must end both walks at the same leaf, with the same message.  Returns
+    the number of leaves visited."""
+    max_exec, max_steps = enumeration_limits(limits)
+    plain = plain_leaves(spec, workload, max_exec, max_steps, stop_after)
+    shared: dict[tuple, object] = {}
+    seen = [0]
+
+    def visit(e):
+        expected = next(plain, None)
+        assert expected is not None, "the walk visits a leaf the plain walk does not"
+        assert e == expected and e.protocol is spec
+        keys = finish_keys(e)
+        assert keys == finish_keys(expected)
+        assert [op.record for op in e.ops] == [op.record for op in expected.ops]
+        for key, op in zip(keys, e.ops):
+            assert shared.setdefault(key, op) is op
+        if seen[0] % replay_every == 0:
+            assert run_schedule(spec, workload, e.decisions) == e
+        seen[0] += 1
+        return seen[0] != stop_after
+
+    try:
+        res = enumerate_executions(spec, workload, limits, visit=visit)
+    except EngineError as exc:
+        with pytest.raises(EngineError) as plain_exc:
+            next(plain)
+        assert str(plain_exc.value) == str(exc)
+        raise
+    with pytest.raises(StopIteration) as end:
+        next(plain)
+    assert (res.truncated, res.stopped) == end.value.value
+    assert res.count == seen[0]
+    return seen[0]
+
+
+def joined_leaves(spec, workload, limits=None):
+    """The 1-based indices of the leaves ``enumerate_executions`` joins from
+    a stored tail instead of building by ``_Sim.snapshot``, up to the end of
+    the walk or an EngineError."""
+    snapshots, joined, seen = [0], [], [0, 0]
+    snapshot = _Sim.snapshot
+
+    def counted(sim):
+        snapshots[0] += 1
+        return snapshot(sim)
+
+    def visit(e):
+        seen[0] += 1
+        if snapshots[0] == seen[1]:
+            joined.append(seen[0])
+        seen[1] = snapshots[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Sim, "snapshot", counted)
+        try:
+            enumerate_executions(spec, workload, limits, visit=visit)
+        except EngineError:
+            pass
+    return joined
+
+
+def bench_walk(construction, n, workload, **extra):
+    """A tree of the benchmark's ``enumerate`` workload, walked whole."""
+    sc = scenario_from_dict({
+        "construction": construction, "n": n,
+        "workload": [[{"kind": k, **({} if a is None else {"arg": a})} for k, a in ops]
+                     for ops in workload],
+        **extra,
+    })
+    return build_protocol(sc), sc.workload, None
+
+
+#: name: (protocol, workload, limits): the benchmark's five trees walked
+#: whole, then every shipped scenario, cut after 5,000 leaves.
+WALKS = {
+    "multiwriter": bench_walk("multiwriter", 2, [[("W", 1)], [("W", 2), ("R", None)]]),
+    "mr_nowriteback": bench_walk("multireader_nowriteback", 2,
+                                 [[("W", 1)], [("R", None)], [("R", None)]]),
+    "cts": bench_walk("cts", 2, [[("L", 1)], [("L", 2), ("S", None)]]),
+    "regular_bit": bench_walk("regular_bit", 2,
+                              [[("W", 1), ("W", 0)], [("R", None), ("R", None)], [("R", None)]]),
+    "raw_safe": bench_walk("raw_register", 1,
+                           [[("W", 1), ("W", 2), ("W", 3)], [("R", None), ("R", None)]],
+                           domain=8, base_semantics="safe"),
+}
+BENCH_LEAVES = {"multiwriter": 8008, "mr_nowriteback": 34650, "cts": 8008, "regular_bit": 16258,
+                "raw_safe": 8330}
+for _path in sorted(SCENARIOS.glob("*.json")):
+    _sc = load_scenario(str(_path))
+    WALKS[_path.stem] = (build_protocol(_sc), _sc.workload,
+                         {**_sc.limits, "max_executions": 5000})
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_the_walk_is_the_plain_walk(name):
+    spec, workload, limits = WALKS[name]
+    count = assert_walk_is_plain(spec, workload, limits)
+    if name in BENCH_LEAVES:
+        assert count == BENCH_LEAVES[name]
+        # Most leaves end in a stored tail.
+        assert len(joined_leaves(spec, workload)) > count // 2
+
+
+@pytest.mark.parametrize("name", ["multiwriter", "mr_nowriteback", "raw_safe"])
+def test_a_cut_or_a_stop_at_a_joined_leaf_is_the_plain_walks(name):
+    spec, workload, _ = WALKS[name]
+    joined = joined_leaves(spec, workload)
+    at = joined[len(joined) // 2]
+    # The visitor stops at a leaf joined from a stored tail ...
+    assert assert_walk_is_plain(spec, workload, stop_after=at) == at
+    # ... and max_executions cuts the walk there.
+    assert assert_walk_is_plain(spec, workload, {"max_executions": at - 1}) == at - 1
+
+
+@pytest.mark.parametrize("max_steps", [8, 9, 10, 11, 12])
+def test_tails_max_steps_cuts_are_the_plain_walks(max_steps):
+    # Leaves take 8, 10 or 12 steps: a cut at 9 or 11 falls inside tails
+    # that a cut at 12 stores whole.
+    spec = reread_protocol(SimpleNamespace(domain=3, base_semantics=SemanticsLevel.SAFE))
+    workload = [[("Write", 1), ("Write", 2)], [("Read", None), ("Read", None)]]
+    limits = {"max_steps": max_steps}
+    count = assert_walk_is_plain(spec, workload, limits)
+    assert count == {8: 179, 9: 179, 10: 1303, 11: 1303, 12: 2485}[max_steps]
+    assert joined_leaves(spec, workload, limits)
+
+
+class MemoryTypeProgram(StepProgram):
+    """A register over a safe base whose reader remembers the value its Read
+    returned as ``1``, ``True`` or ``1.0`` (for 0, 1 or 2): equal values that
+    hash alike.  Its next Read returns 0, 1 or 2 by the type it remembers."""
+
+    def initial_memory(self, proc):
+        return 0
+
+    def begin(self, proc, mem, kind, arg):
+        return (WriteAction(0, arg) if kind == "Write" else ReadAction(0)), kind
+
+    def resume(self, proc, mem, state, result):
+        if state == "Write":
+            return ReturnAction(None, mem), None
+        return ReturnAction((int, bool, float).index(type(mem)), (1, True, 1.0)[result]), None
+
+
+class ListMemoryProgram(MemoryTypeProgram):
+    """The same register with each process's memory a list, which cannot be
+    hashed."""
+
+    def initial_memory(self, proc):
+        return [0]
+
+    def resume(self, proc, mem, state, result):
+        return ReturnAction(None if state == "Write" else 0, [result]), None
+
+
+def safe_register_of(program) -> ProtocolSpec:
+    """``program`` as a register of domain 3 over one safe base register,
+    written by process 0 and read by process 1."""
+    reg = BaseRegisterSpec("R", 0, frozenset({1}), 3, 0, SemanticsLevel.SAFE)
+    return ProtocolSpec("typed", 2, (reg,), program, {"Read": 1, "Write": 1}, "X", 3, 0,
+                        frozenset({0}), frozenset({1}))
+
+
+TYPED_WORKLOAD = [[("Write", 2)], [("Read", None), ("Read", None)]]
+
+
+def test_tails_from_memories_of_other_types_are_not_merged():
+    # Sibling leaves differ only in the reader's Read result, so the tails
+    # after it differ only in the type of the memory it keeps.
+    spec = safe_register_of(MemoryTypeProgram())
+    assert assert_walk_is_plain(spec, TYPED_WORKLOAD, replay_every=1) == 63
+    rets = {[op.ret for op in e.ops if op.proc == 1][-1]
+            for e in enumerate_executions(spec, TYPED_WORKLOAD).executions}
+    assert rets == {0, 1, 2}
+    assert joined_leaves(spec, TYPED_WORKLOAD)
+
+
+def test_tails_from_a_memory_that_cannot_be_hashed_are_walked_step_by_step(monkeypatch):
+    spec = safe_register_of(ListMemoryProgram())
+    assert assert_walk_is_plain(spec, TYPED_WORKLOAD, replay_every=1) == 63
+    assert not joined_leaves(spec, TYPED_WORKLOAD)
+    applied = [0]
+    apply = _Sim.apply
+
+    def counted(sim, proc, value):
+        applied[0] += 1
+        return apply(sim, proc, value)
+
+    monkeypatch.setattr(_Sim, "apply", counted)
+    enumerate_executions(spec, TYPED_WORKLOAD, visit=lambda e: None)
+    walked, applied[0] = applied[0], 0
+    recursive_enumeration(spec, TYPED_WORKLOAD, 10**6, 10**4)
+    # Every leaf is reached by applying its every step, as the plain walk does.
+    assert walked == applied[0]
+
+
+class LateRefusalProgram(StepProgram):
+    """A register over an atomic base whose reader, process 0, counts its
+    Reads in its memory and writes the register it does not own when its
+    first Read returns 2.  Reading 2 means the writer's last Write ended, so
+    the refusal comes only in a tail, and, since the walk runs process 0
+    first, late: after 125 leaves."""
+
+    def initial_memory(self, proc):
+        return 0
+
+    def begin(self, proc, mem, kind, arg):
+        return (WriteAction(0, arg) if kind == "Write" else ReadAction(0)), kind
+
+    def resume(self, proc, mem, state, result):
+        if state == "Write":
+            return ReturnAction(None, mem), None
+        if result == 2 and mem == 0:
+            return WriteAction(0, 0), None
+        return ReturnAction(result, mem + 1), None
+
+
+def test_an_error_in_a_late_tail_comes_after_the_plain_walks_leaves():
+    reg = BaseRegisterSpec("R", 1, frozenset({0}), 3, 0, SemanticsLevel.ATOMIC)
+    spec = ProtocolSpec("late", 2, (reg,), LateRefusalProgram(), {"Read": 1, "Write": 1}, "X",
+                        3, 0, frozenset({1}), frozenset({0}))
+    workload = [[("Read", None)] * 3, [("Write", 1), ("Write", 2)]]
+    with pytest.raises(EngineError, match="proc 0 does not own register R"):
+        assert_walk_is_plain(spec, workload, replay_every=1)
+    # Most of the leaves before it were joined from stored tails.
+    assert len(joined_leaves(spec, workload)) > 125 // 2
 
 
 def test_enumeration_depth_not_bound_by_recursion_limit():

@@ -119,7 +119,7 @@ def test_a_single_run_keys_no_finish(name, monkeypatch):
     def keyed(ret):
         raise AssertionError("a single run keyed a finish")
 
-    monkeypatch.setattr(engine, "_ret_key", keyed)
+    monkeypatch.setattr(engine, "_exact_key", keyed)
     sc, _ = WORKLOADS[name]
     spec = build_protocol(sc)
     e = random_execution(spec, sc.workload, 0)
